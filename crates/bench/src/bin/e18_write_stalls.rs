@@ -10,7 +10,8 @@
 //! partial compaction's — the whole reason partial compaction exists.
 
 use lsm_bench::*;
-use lsm_core::{CompactionGranularity, Db, FilePicker, LsmConfig, MergeLayout, PartitionedDb};
+use lsm_core::{CompactionGranularity, Db, FilePicker, LsmConfig, MergeLayout};
+use lsm_server::{ShardMap, ShardSet};
 use lsm_storage::DeviceProfile;
 use lsm_workload::encode_key;
 
@@ -73,38 +74,48 @@ fn main() {
     tiered.layout = MergeLayout::Tiered;
     tiered.target_table_bytes = 32 << 10;
     run("tiered (lazy merges)", tiered, n, &t);
-    // key-space partitioning: 4 trees, each a quarter of the data
+    // key-space partitioning: 4 trees, each a quarter of the data,
+    // range-routed by a shard map split at the quarter points
     {
         let mut cfg = base_config();
         cfg.layout = MergeLayout::Leveled;
         cfg.granularity = CompactionGranularity::Full;
         cfg.target_table_bytes = 32 << 10;
-        let pdb = PartitionedDb::open_simulated(
-            cfg,
-            (1..4)
-                .map(|i| format!("user{:012}", n * i / 4).into_bytes())
-                .collect(),
-            lsm_storage::DeviceProfile::nvme_ssd(),
-        )
-        .unwrap();
+        let map = (1..4)
+            .try_fold(ShardMap::uniform(1), |map, i| {
+                let boundary = format!("user{:012}", n * i / 4);
+                map.split(i as usize - 1, boundary.as_bytes()).map(|(m, _)| m)
+            })
+            .unwrap();
+        let dbs = (0..map.len())
+            .map(|_| Db::open_simulated(cfg.clone(), DeviceProfile::nvme_ssd()).unwrap())
+            .collect();
+        let set = ShardSet::with_map(dbs, map);
+        // one put only advances its own tree's clock, so deltas of the sum
+        // measure per-put simulated latency
+        let sim_now = || -> u64 {
+            set.dbs()
+                .iter()
+                .map(|db| db.device().latency().clock().now_ns())
+                .sum()
+        };
         let mut lat: Vec<u64> = Vec::with_capacity(n as usize);
         for i in 0..n {
             let id = i.wrapping_mul(2654435761) % n;
-            let t0 = pdb.sim_now_total_ns();
-            pdb.put(encode_key(id), value_of(id, 64)).unwrap();
-            lat.push(pdb.sim_now_total_ns() - t0);
+            let key = encode_key(id);
+            let t0 = sim_now();
+            set.db(set.shard_index(&key)).put(key, value_of(id, 64)).unwrap();
+            lat.push(sim_now() - t0);
         }
         lat.sort_unstable();
-        let s = pdb.stats();
-        let written: u64 = 0; // write-amp across devices reported as n/a
-        let _ = written;
+        let compactions: u64 = set.dbs().iter().map(|db| db.stats().snapshot().compactions).sum();
         t.print(&[
             "full × 4 partitions".to_string(),
             format!("{:.1}", percentile(&lat, 0.50) as f64 / 1000.0),
             format!("{:.1}", percentile(&lat, 0.99) as f64 / 1000.0),
             format!("{:.0}", percentile(&lat, 0.999) as f64 / 1000.0),
             format!("{:.0}", *lat.last().unwrap() as f64 / 1000.0),
-            s.compactions.to_string(),
+            compactions.to_string(),
             "-".to_string(),
         ]);
     }

@@ -95,7 +95,7 @@ fn engine_micro(n: u64) -> (Db, f64, f64) {
     let borrowed_scan = time_ops(scans, |i| {
         let lo = (i * 37) % n;
         let mut bytes = 0u64;
-        db.scan_with(&encode_key(lo), &encode_key(n), scan_len, |k, v| {
+        db.scan_with(&encode_key(lo), Some(&encode_key(n)), scan_len, |k, v| {
             bytes += (k.len() + v.len()) as u64;
         })
         .unwrap();

@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(r.versions_dropped, 1);
         assert_eq!(r.tables.len(), 1);
         let t = &r.tables[0];
-        let hit = t.get(b"a", None).unwrap().entry.unwrap();
+        let hit = t.get_with(b"a", None, |e| e.to_entry()).unwrap().0.unwrap();
         assert_eq!(hit.value, b"new".to_vec());
         assert_eq!(hit.seqno, 10);
     }
@@ -215,7 +215,7 @@ mod tests {
         .unwrap();
         assert_eq!(keep.entries_written, 1);
         assert_eq!(keep.tombstones_dropped, 0);
-        assert_eq!(keep.tables[0].get(b"a", None).unwrap().entry.unwrap().kind, ValueKind::Delete);
+        assert_eq!(keep.tables[0].get_with(b"a", None, |e| e.kind).unwrap().0.unwrap(), ValueKind::Delete);
         // with GC: key vanishes entirely
         let gc = merge_tables(&dev, &cfg(), IndexKind::Fence, 10.0, &[newer, older], true).unwrap();
         assert_eq!(gc.entries_written, 0);
@@ -246,7 +246,7 @@ mod tests {
             let found = r
                 .tables
                 .iter()
-                .any(|t| t.get(key.as_bytes(), None).unwrap().entry.is_some());
+                .any(|t| t.get_with(key.as_bytes(), None, |_| ()).unwrap().0.is_some());
             assert!(found, "{key} lost in merge");
         }
     }

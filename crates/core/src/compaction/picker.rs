@@ -34,7 +34,7 @@ pub fn pick_file(
                 match next_run {
                     None => 0,
                     Some(next) => next
-                        .overlapping(&t.meta().min_key, &t.meta().max_key)
+                        .overlapping(&t.meta().min_key, Some(&t.meta().max_key))
                         .iter()
                         .map(|o| o.data_bytes())
                         .sum::<u64>(),
@@ -128,9 +128,9 @@ mod tests {
         let d = dev();
         let run = SortedRun::from_tables(tables_on(&d, &[0..10, 20..30, 40..50]));
         // heat tables 0 and 2
-        run.tables[0].get(b"key000001", None).unwrap();
-        run.tables[2].get(b"key000041", None).unwrap();
-        run.tables[2].get(b"key000042", None).unwrap();
+        run.tables[0].get_with(b"key000001", None, |_| ()).unwrap();
+        run.tables[2].get_with(b"key000041", None, |_| ()).unwrap();
+        run.tables[2].get_with(b"key000042", None, |_| ()).unwrap();
         let mut cursor = 0;
         assert_eq!(pick_file(FilePicker::Coldest, &run, None, &mut cursor), 1);
     }

@@ -33,17 +33,20 @@ use crate::compaction::{self, exec::merge_tables, exec::MergeResult, picker::pic
 use crate::config::{BackgroundMode, CompactionGranularity, FilterAllocation, LsmConfig};
 use crate::dynamic::{DynamicConfig, DynamicSnapshot, DynamicUpdate};
 use crate::entry::{InternalEntry, ValueKind};
+use crate::iter::{read_merged, scan_sources};
 use crate::kv_sep::{
-    decode_value, encode_inline, encode_pointer, read_pointer_from_device, ValueLog,
+    self, decode_value, encode_inline, encode_pointer, read_pointer_from_device, ValueLog,
+    ValuePointer,
 };
 use crate::manifest::{find_manifest_candidates, write_manifest, ManifestState};
-use crate::memtable::Memtable;
+use crate::memtable::{get_buffered, Memtable};
 use crate::obs::EngineMetrics;
 use lsm_obs::{Event, EventKind, MetricsSnapshot, StallReason};
 use lsm_storage::IoCategory;
 use crate::sstable::{Table, TableBuilder};
+use crate::snapshot::{Snapshot, SnapshotPin};
 use crate::stats::DbStats;
-use crate::version::{SortedRun, Version};
+use crate::version::{ProbeTally, SortedRun, Version};
 use crate::wal::{self, Wal};
 
 /// Monotone map from byte keys to the heat-map domain.
@@ -1687,209 +1690,73 @@ impl DbCore {
     ) -> StorageResult<Option<R>> {
         DbStats::bump(&self.stats.gets);
         self.heat.lock().record(heat_key(key));
-        let kv_sep = self.cfg.kv_separation.is_some();
-        let mut f = Some(f);
         let version = {
             let inner = self.inner.read();
-            let mem_hit = inner
-                .mem
-                .get_ref(key)
-                .or_else(|| inner.imm.as_ref().and_then(|m| m.get_ref(key)));
-            if let Some(e) = mem_hit {
-                return match e.kind {
-                    ValueKind::Delete => Ok(None),
-                    ValueKind::Put => {
-                        if kv_sep {
-                            // pointer chase may read the value log
-                            let v = self.resolve_value(&inner, e.value.to_vec())?;
-                            DbStats::bump(&self.stats.gets_found);
-                            Ok(Some((f.take().unwrap())(&v)))
-                        } else {
-                            DbStats::bump(&self.stats.gets_found);
-                            Ok(Some((f.take().unwrap())(e.value)))
-                        }
-                    }
-                };
+            if let Some(e) = get_buffered(&inner.mem, inner.imm.as_deref(), key) {
+                return self.found(e.kind, e.value, |ptr| self.read_pointer(&inner, ptr), f);
             }
             Arc::clone(&inner.version)
         };
-        for level in &version.levels {
-            for run in &level.runs {
-                let Some(table) = run.table_for(key) else {
-                    DbStats::bump(&self.stats.range_prunes);
-                    continue;
-                };
-                DbStats::bump(&self.stats.runs_probed);
-                let outcome = if kv_sep {
-                    // owned detour: a stored pointer needs a value-log read
-                    let (hit, probe) =
-                        table.get_with(key, self.cache.as_deref(), |e| (e.kind, e.value.to_vec()))?;
-                    self.note_probe(&probe);
-                    match hit {
-                        Some((ValueKind::Delete, _)) => Some(None),
-                        Some((ValueKind::Put, raw)) => {
-                            let v = self.resolve_raw(raw)?;
-                            Some(Some((f.take().unwrap())(&v)))
-                        }
-                        None => None,
-                    }
-                } else {
-                    // borrowed fast path: `f` runs on the block bytes in
-                    // place; the slot dance keeps it available for the
-                    // next table when this one misses
-                    let slot = &mut f;
-                    let (hit, probe) =
-                        table.get_with(key, self.cache.as_deref(), |e| match e.kind {
-                            ValueKind::Delete => None,
-                            ValueKind::Put => Some((slot.take().unwrap())(e.value)),
-                        })?;
-                    self.note_probe(&probe);
-                    hit
-                };
-                if let Some(found) = outcome {
-                    return match found {
-                        None => Ok(None),
-                        Some(r) => {
-                            DbStats::bump(&self.stats.gets_found);
-                            Ok(Some(r))
-                        }
-                    };
-                }
-            }
-        }
-        Ok(None)
+        let mut tally = ProbeTally::default();
+        let out = version.get_with(key, self.cache.as_deref(), &mut tally, |e| {
+            self.found(e.kind, e.value, |ptr| self.read_pointer(&self.inner.read(), ptr), f)
+        });
+        self.stats.add(&self.stats.runs_probed, tally.runs_probed);
+        self.stats.add(&self.stats.range_prunes, tally.range_prunes);
+        self.stats.add(&self.stats.filter_prunes, tally.filter_prunes);
+        self.stats.add(&self.stats.blocks_examined, tally.blocks_examined);
+        out?.unwrap_or(Ok(None))
     }
 
-    fn note_probe(&self, probe: &crate::sstable::TableProbe) {
-        if probe.filter_pruned {
-            DbStats::bump(&self.stats.filter_prunes);
+    /// Serves a point lookup's newest entry: `None` for a tombstone,
+    /// else `f` on the resolved value.
+    fn found<R>(
+        &self,
+        kind: ValueKind,
+        stored: &[u8],
+        read_ptr: impl FnOnce(ValuePointer) -> StorageResult<Vec<u8>>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<Option<R>> {
+        if kind == ValueKind::Delete {
+            return Ok(None);
         }
-        self.stats
-            .add(&self.stats.blocks_examined, probe.blocks_examined as u64);
+        let v = kv_sep::resolve(stored, self.cfg.kv_separation.is_some(), read_ptr)?;
+        DbStats::bump(&self.stats.gets_found);
+        Ok(Some(f(&v)))
     }
 
-    /// Resolves a raw stored value when no read guard is held (the table
-    /// probe path): takes a brief read lock for the active value log.
-    fn resolve_raw(&self, raw: Vec<u8>) -> StorageResult<Vec<u8>> {
-        if self.cfg.kv_separation.is_none() {
-            return Ok(raw);
-        }
-        let inner = self.inner.read();
-        self.resolve_value(&inner, raw)
-    }
-
-    fn resolve_value(&self, inner: &Inner, raw: Vec<u8>) -> StorageResult<Vec<u8>> {
-        if self.cfg.kv_separation.is_none() {
-            return Ok(raw);
-        }
-        match decode_value(&raw) {
-            Some(Ok(inline)) => Ok(inline.to_vec()),
-            Some(Err(ptr)) => {
-                DbStats::bump(&self.stats.vlog_resolves);
-                match &inner.vlog {
-                    Some(active) if active.id() == ptr.file => active.read(ptr),
-                    _ => read_pointer_from_device(&self.device, ptr),
-                }
-            }
-            None => Err(StorageError::Corruption("bad separated value".into())),
+    /// Reads a separated value: through the active value log when the
+    /// pointer is into it (its tail may not be on the device yet), else
+    /// straight off the device.
+    fn read_pointer(&self, inner: &Inner, ptr: ValuePointer) -> StorageResult<Vec<u8>> {
+        DbStats::bump(&self.stats.vlog_resolves);
+        match &inner.vlog {
+            Some(active) if active.id() == ptr.file => active.read(ptr),
+            _ => read_pointer_from_device(&self.device, ptr),
         }
     }
 
     /// Range scan: up to `limit` live entries with `range.start ≤ key <
-    /// range.end`, in key order, over a consistent snapshot. Memtable
-    /// state is copied under a brief read lock; table I/O and the merge
-    /// run lock-free against the version snapshot.
+    /// range.end`, in key order, collected over [`DbCore::scan_with`].
     pub fn scan(&self, range: Range<Vec<u8>>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let start = self.obs.now_ns();
-        let out = self.scan_inner(range, limit);
-        self.obs
-            .scan_ns
-            .record(self.obs.now_ns().saturating_sub(start));
-        out
+        let mut out = Vec::new();
+        self.scan_with(&range.start, Some(&range.end), limit, |k, v| {
+            out.push((k.to_vec(), v.to_vec()))
+        })?;
+        Ok(out)
     }
 
-    fn scan_inner(
-        &self,
-        range: Range<Vec<u8>>,
-        limit: usize,
-    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        DbStats::bump(&self.stats.scans);
-        if range.start >= range.end {
-            return Ok(Vec::new());
-        }
-        let start = range.start.as_slice();
-        let end = range.end.as_slice();
-        let sources = self.scan_sources(start, end);
-        let mut merger = crate::iter::MergingIter::new(sources, false)?;
-        let entries = merger.collect_until(Some(end), false, limit)?;
-        self.stats
-            .add(&self.stats.scan_entries, entries.len() as u64);
-        let inner = self.inner.read();
-        entries
-            .into_iter()
-            .map(|e| Ok((e.key, self.resolve_value(&inner, e.value)?)))
-            .collect()
-    }
-
-    /// Assembles merge sources for a `[start, end)` scan: memtable
-    /// snapshots (rank 0 = youngest, frozen memtable next), then sorted
-    /// runs youngest level/run first. Range-filter pruning is an in-memory
-    /// probe, so it happens up front, while data blocks are only read
-    /// lazily as the merge reaches each table.
-    fn scan_sources(&self, start: &[u8], end: &[u8]) -> Vec<crate::iter::Source> {
-        let mut sources = Vec::new();
-        let version = {
-            let inner = self.inner.read();
-            let mem_entries: Vec<InternalEntry> = inner
-                .mem
-                .range(Bound::Included(start), Bound::Excluded(end))
-                .collect();
-            sources.push(crate::iter::Source::mem(mem_entries));
-            if let Some(imm) = &inner.imm {
-                let imm_entries: Vec<InternalEntry> = imm
-                    .range(Bound::Included(start), Bound::Excluded(end))
-                    .collect();
-                sources.push(crate::iter::Source::mem(imm_entries));
-            }
-            Arc::clone(&inner.version)
-        };
-        for level in &version.levels {
-            for run in &level.runs {
-                let tables: Vec<_> = run
-                    .overlapping(start, end)
-                    .iter()
-                    .filter(|table| {
-                        let keep = table
-                            .range_may_overlap(Bound::Included(start), Bound::Excluded(end));
-                        if !keep {
-                            DbStats::bump(&self.stats.range_filter_prunes);
-                        }
-                        keep
-                    })
-                    .cloned()
-                    .collect();
-                if !tables.is_empty() {
-                    sources.push(crate::iter::Source::Run(crate::iter::RunIterator::new(
-                        tables,
-                        start.to_vec(),
-                        self.cache.clone(),
-                    )));
-                }
-            }
-        }
-        sources
-    }
-
-    /// Streaming range scan through borrowed views: calls `f(key, value)`
-    /// for each live entry with `start ≤ key < end`, in key order, up to
-    /// `limit` entries, and returns how many were visited. The bytes are
-    /// borrowed from the merge cursor (cached blocks / memtable copies) —
-    /// no per-entry key/value `Vec`s are materialized, which is what
-    /// [`DbCore::scan`] pays to build its owned result.
+    /// Streaming range scan through borrowed views, over a consistent
+    /// snapshot: calls `f(key, value)` for each live entry with `start ≤
+    /// key < end` (`end == None` = to the end of the keyspace), in key
+    /// order, up to `limit` entries, and returns how many were visited.
+    /// Sources are captured under a brief read lock; table I/O and the
+    /// merge run lock-free. The bytes are borrowed from the merge cursor
+    /// (cached blocks / memtable copies), so no per-entry `Vec` is built.
     pub fn scan_with(
         &self,
         start: &[u8],
-        end: &[u8],
+        end: Option<&[u8]>,
         limit: usize,
         f: impl FnMut(&[u8], &[u8]),
     ) -> StorageResult<usize> {
@@ -1904,56 +1771,61 @@ impl DbCore {
     fn scan_with_inner(
         &self,
         start: &[u8],
-        end: &[u8],
+        end: Option<&[u8]>,
         limit: usize,
-        mut f: impl FnMut(&[u8], &[u8]),
+        f: impl FnMut(&[u8], &[u8]),
     ) -> StorageResult<usize> {
         DbStats::bump(&self.stats.scans);
-        if start >= end {
-            return Ok(0);
-        }
-        let sources = self.scan_sources(start, end);
-        let mut merger = crate::iter::MergingIter::new(sources, false)?;
-        let kv_sep = self.cfg.kv_separation.is_some();
-        let mut n = 0usize;
-        while n < limit && merger.advance_visible()? {
-            if merger.key() >= end {
-                break;
-            }
-            if kv_sep {
-                // pointer chase: the resolved value is owned by necessity
-                let v = self.resolve_raw(merger.value().to_vec())?;
-                f(merger.key(), &v);
-            } else {
-                f(merger.key(), merger.value());
-            }
-            n += 1;
-        }
+        let mut prunes = 0;
+        let sources = {
+            let inner = self.inner.read();
+            scan_sources(
+                &inner.mem,
+                inner.imm.as_deref(),
+                &inner.version,
+                start,
+                end,
+                &self.cache,
+                &mut prunes,
+            )
+        };
+        self.stats.add(&self.stats.range_filter_prunes, prunes);
+        let n = read_merged(
+            sources,
+            end,
+            limit,
+            self.cfg.kv_separation.is_some(),
+            |ptr| self.read_pointer(&self.inner.read(), ptr),
+            f,
+        )?;
         self.stats.add(&self.stats.scan_entries, n as u64);
         Ok(n)
     }
 
-    /// Takes a long-lived point-in-time snapshot. Unlike
-    /// [`DbCore::iter_range`], the snapshot holds no lock: writers and
-    /// compactions proceed freely, and the snapshot's files stay alive
-    /// (deletion is deferred to the last reference) until it is dropped.
+    /// Takes a long-lived point-in-time snapshot. The snapshot holds no
+    /// lock: writers and compactions proceed freely, and the snapshot's
+    /// files stay alive (deletion is deferred to the last reference)
+    /// until it is dropped.
     ///
     /// The memtable is copied (O(buffer size)); with key-value separation
     /// the value-log tail is synced first so pointer reads need no access
     /// to engine internals.
-    pub fn snapshot(&self) -> StorageResult<crate::snapshot::Snapshot> {
-        let mut inner = self.inner.write();
+    pub fn snapshot(&self) -> StorageResult<Snapshot> {
+        self.snapshot_locked(&mut self.inner.write())
+    }
+
+    fn snapshot_locked(&self, inner: &mut Inner) -> StorageResult<Snapshot> {
         if let Some(vlog) = &mut inner.vlog {
             vlog.sync()?;
         }
-        Ok(crate::snapshot::Snapshot {
+        Ok(Snapshot {
             mem: inner.mem.clone(),
             imm: inner.imm.clone(),
             version: Arc::clone(&inner.version),
             cache: self.cache.clone(),
             device: Arc::clone(&self.device),
             kv_separation: self.cfg.kv_separation.is_some(),
-            pin: crate::snapshot::SnapshotPin::new(Arc::clone(&self.snapshot_count)),
+            pin: SnapshotPin::new(Arc::clone(&self.snapshot_count)),
         })
     }
 
@@ -1966,22 +1838,11 @@ impl DbCore {
     /// the same lock acquisition**, so every write committed after the
     /// floor is guaranteed to be recorded in `txn_recent` (writers check
     /// `txn_floors` while holding the write lock).
-    pub(crate) fn txn_begin(&self) -> StorageResult<(crate::snapshot::Snapshot, u64)> {
+    pub(crate) fn txn_begin(&self) -> StorageResult<(Snapshot, u64)> {
         let mut inner = self.inner.write();
-        if let Some(vlog) = &mut inner.vlog {
-            vlog.sync()?;
-        }
+        let snap = self.snapshot_locked(&mut inner)?;
         let snap_seqno = inner.next_seqno - 1;
         *inner.txn_floors.entry(snap_seqno).or_insert(0) += 1;
-        let snap = crate::snapshot::Snapshot {
-            mem: inner.mem.clone(),
-            imm: inner.imm.clone(),
-            version: Arc::clone(&inner.version),
-            cache: self.cache.clone(),
-            device: Arc::clone(&self.device),
-            kv_separation: self.cfg.kv_separation.is_some(),
-            pin: crate::snapshot::SnapshotPin::new(Arc::clone(&self.snapshot_count)),
-        };
         drop(inner);
         self.obs.txn_begins.inc();
         self.obs.event(EventKind::TxnBegin { snap_seqno });
@@ -2093,87 +1954,6 @@ impl DbCore {
         Ok(())
     }
 
-    /// A streaming iterator over live entries with `start ≤ key < end`
-    /// (unbounded end when `end` is `None`), over a consistent snapshot.
-    ///
-    /// The iterator holds a read lock on the engine for its lifetime:
-    /// reads proceed concurrently, writes block until it is dropped — the
-    /// deterministic analogue of production engines' snapshot pinning.
-    pub fn iter_range(
-        &self,
-        start: Vec<u8>,
-        end: Option<Vec<u8>>,
-    ) -> StorageResult<DbIterator<'_>> {
-        DbStats::bump(&self.stats.scans);
-        if let Some(e) = &end {
-            if start >= *e {
-                // empty range: an iterator that yields nothing
-                let guard = self.inner.read();
-                return Ok(DbIterator {
-                    db: self,
-                    _guard: guard,
-                    merger: crate::iter::MergingIter::new(Vec::new(), false)?,
-                    end,
-                });
-            }
-        }
-        let guard = self.inner.read();
-        let hi_bound = match &end {
-            Some(e) => Bound::Excluded(e.as_slice()),
-            None => Bound::Unbounded,
-        };
-        let mut sources = Vec::new();
-        let mem_entries: Vec<InternalEntry> = guard
-            .mem
-            .range(Bound::Included(start.as_slice()), hi_bound)
-            .collect();
-        sources.push(crate::iter::Source::mem(mem_entries));
-        if let Some(imm) = &guard.imm {
-            let imm_entries: Vec<InternalEntry> = imm
-                .range(Bound::Included(start.as_slice()), hi_bound)
-                .collect();
-            sources.push(crate::iter::Source::mem(imm_entries));
-        }
-        let version = Arc::clone(&guard.version);
-        for level in &version.levels {
-            for run in &level.runs {
-                let overlapping = match &end {
-                    Some(e) => run.overlapping(&start, e),
-                    None => {
-                        let idx = run
-                            .tables
-                            .partition_point(|t| t.meta().max_key.as_slice() < start.as_slice());
-                        &run.tables[idx..]
-                    }
-                };
-                let tables: Vec<_> = overlapping.to_vec();
-                if !tables.is_empty() {
-                    sources.push(crate::iter::Source::Run(crate::iter::RunIterator::new(
-                        tables,
-                        start.clone(),
-                        self.cache.clone(),
-                    )));
-                }
-            }
-        }
-        let merger = crate::iter::MergingIter::new(sources, false)?;
-        Ok(DbIterator {
-            db: self,
-            _guard: guard,
-            merger,
-            end,
-        })
-    }
-
-    /// Scan helper: first `limit` live entries with key ≥ `start`.
-    pub fn scan_from(&self, start: Vec<u8>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        // an unbounded scan is a scan to the key-space maximum
-        let mut end = start.clone();
-        end.resize(64, 0xFF);
-        end.fill(0xFF);
-        self.scan(start..end, limit)
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
@@ -2224,32 +2004,6 @@ impl DbCore {
             .flat_map(|r| &r.tables)
             .map(|t| t.index_size_bits())
             .sum()
-    }
-
-    /// Debug helper: for each table whose range covers `key`, reports the
-    /// table id, its key range, and what the lookup found. Used by tests
-    /// diagnosing locator issues.
-    pub fn debug_probe(&self, key: &[u8]) -> Vec<String> {
-        let inner = self.inner.read();
-        let mut out = Vec::new();
-        for (li, level) in inner.version.levels.iter().enumerate() {
-            for (ri, run) in level.runs.iter().enumerate() {
-                for t in &run.tables {
-                    if t.meta().key_in_range(key) {
-                        let got = t.get(key, None);
-                        out.push(format!(
-                            "L{li} run{ri} table{} [{}..{}] blocks={} -> {:?}",
-                            t.id(),
-                            String::from_utf8_lossy(&t.meta().min_key),
-                            String::from_utf8_lossy(&t.meta().max_key),
-                            t.meta().data_blocks.len(),
-                            got.map(|g| (g.entry.is_some(), g.filter_pruned, g.blocks_examined))
-                        ));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Live entries visible to readers (excluding shadowed versions).
@@ -2820,29 +2574,15 @@ impl DbCore {
 
     /// Newest raw (unresolved) engine value for `key`, if any and live.
     fn raw_stored_value(&self, inner: &Inner, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let mem_hit = inner
-            .mem
-            .get(key)
-            .or_else(|| inner.imm.as_ref().and_then(|m| m.get(key)));
-        if let Some(e) = mem_hit {
-            return Ok(match e.kind {
-                ValueKind::Delete => None,
-                ValueKind::Put => Some(e.value),
-            });
+        let live = |kind, stored: &[u8]| (kind == ValueKind::Put).then(|| stored.to_vec());
+        if let Some(e) = get_buffered(&inner.mem, inner.imm.as_deref(), key) {
+            return Ok(live(e.kind, e.value));
         }
-        for level in &inner.version.levels {
-            for run in &level.runs {
-                let Some(table) = run.table_for(key) else { continue };
-                let got = table.get(key, self.cache.as_deref())?;
-                if let Some(e) = got.entry {
-                    return Ok(match e.kind {
-                        ValueKind::Delete => None,
-                        ValueKind::Put => Some(e.value),
-                    });
-                }
-            }
-        }
-        Ok(None)
+        let mut tally = ProbeTally::default();
+        Ok(inner
+            .version
+            .get_with(key, self.cache.as_deref(), &mut tally, |e| live(e.kind, e.value))?
+            .flatten())
     }
 }
 
@@ -2875,41 +2615,6 @@ enum CompactionApply {
     AppendRun,
     /// The outputs replace the level's own merged runs (in-place merge).
     InPlace,
-}
-
-/// A streaming snapshot iterator over live entries (see
-/// [`DbCore::iter_range`]). Yields `(key, value)` pairs in ascending key
-/// order; I/O errors surface as `Err` items and end the iteration.
-pub struct DbIterator<'a> {
-    db: &'a DbCore,
-    _guard: parking_lot::RwLockReadGuard<'a, Inner>,
-    merger: crate::iter::MergingIter,
-    end: Option<Vec<u8>>,
-}
-
-impl DbIterator<'_> {
-    /// Next live entry, with errors surfaced explicitly.
-    pub fn try_next(&mut self) -> StorageResult<Option<(Vec<u8>, Vec<u8>)>> {
-        let Some(e) = self.merger.next_visible()? else {
-            return Ok(None);
-        };
-        if let Some(end) = &self.end {
-            if e.key.as_slice() >= end.as_slice() {
-                return Ok(None);
-            }
-        }
-        DbStats::bump(&self.db.stats.scan_entries);
-        let value = self.db.resolve_value(&self._guard, e.value)?;
-        Ok(Some((e.key, value)))
-    }
-}
-
-impl Iterator for DbIterator<'_> {
-    type Item = StorageResult<(Vec<u8>, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.try_next().transpose()
-    }
 }
 
 impl DbCore {
@@ -3223,8 +2928,18 @@ mod tests {
         assert_eq!(got[1].1, b"NEW".to_vec());
     }
 
+    /// Every entry `scan_with` visits over `[start, end)`, owned.
+    fn scan_all(db: &Db, start: &[u8], end: Option<&[u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        let n = db
+            .scan_with(start, end, usize::MAX, |k, v| out.push((k.to_vec(), v.to_vec())))
+            .unwrap();
+        assert_eq!(n, out.len(), "visit count must match the entries fed");
+        out
+    }
+
     #[test]
-    fn streaming_iterator_matches_scan() {
+    fn bounded_scan_with_matches_scan() {
         let db = Db::open_in_memory(small()).unwrap();
         for i in 0..800u32 {
             db.put(format!("key{i:04}").into_bytes(), format!("v{i}").into_bytes())
@@ -3232,24 +2947,27 @@ mod tests {
         }
         db.delete(b"key0100".to_vec()).unwrap();
         let scanned = db.scan(b"key0050".to_vec()..b"key0150".to_vec(), usize::MAX).unwrap();
-        let streamed: Vec<_> = db
-            .iter_range(b"key0050".to_vec(), Some(b"key0150".to_vec()))
-            .unwrap()
-            .collect::<StorageResult<Vec<_>>>()
-            .unwrap();
+        let streamed = scan_all(&db, b"key0050", Some(b"key0150"));
         assert_eq!(scanned, streamed);
         assert_eq!(streamed.len(), 99, "100 keys minus one delete");
     }
 
     #[test]
-    fn streaming_iterator_unbounded_reaches_the_end() {
+    fn open_ended_scan_with_reaches_the_end() {
         let db = Db::open_in_memory(small()).unwrap();
         for i in 0..300u32 {
             db.put(format!("key{i:04}").into_bytes(), b"v".to_vec()).unwrap();
         }
         db.flush().unwrap();
-        let n = db.iter_range(b"key0250".to_vec(), None).unwrap().count();
-        assert_eq!(n, 50);
+        // keys past any fixed-width "maximum" must still be reached
+        db.put(vec![0xFF; 65], b"top".to_vec()).unwrap();
+        let got = scan_all(&db, b"key0250", None);
+        assert_eq!(got.len(), 51);
+        assert_eq!(got.last().unwrap(), &(vec![0xFF; 65], b"top".to_vec()));
+        let snap = db.snapshot().unwrap();
+        let mut n = 0;
+        snap.scan_with(b"key0250", None, usize::MAX, |_, _| n += 1).unwrap();
+        assert_eq!(n, 51, "snapshot open-ended scan");
     }
 
     #[test]
@@ -3258,15 +2976,16 @@ mod tests {
         for i in 0..100u32 {
             db.put(format!("k{i:03}").into_bytes(), b"v".to_vec()).unwrap();
         }
+        db.flush().unwrap();
         assert!(db.scan(b"k050".to_vec()..b"k010".to_vec(), 10).unwrap().is_empty());
         assert!(db.scan(b"k050".to_vec()..b"k050".to_vec(), 10).unwrap().is_empty());
-        let n = db
-            .iter_range(b"k050".to_vec(), Some(b"k010".to_vec()))
-            .unwrap()
-            .count();
-        assert_eq!(n, 0);
+        assert!(scan_all(&db, b"k050", Some(b"k010")).is_empty());
+        assert!(scan_all(&db, b"k050", Some(b"k050")).is_empty());
+        assert!(scan_all(&db, b"z", None).is_empty(), "start past every key");
+        assert_eq!(db.scan_with(b"k000", None, 0, |_, _| {}).unwrap(), 0, "zero limit");
         let snap = db.snapshot().unwrap();
-        assert!(snap.scan(b"z".to_vec()..b"a".to_vec(), 10).unwrap().is_empty());
+        assert_eq!(snap.scan_with(b"z", Some(b"a"), 10, |_, _| {}).unwrap(), 0);
+        assert_eq!(snap.scan_with(b"k050", Some(b"k050"), 10, |_, _| {}).unwrap(), 0);
     }
 
     #[test]

@@ -4,20 +4,98 @@
 //! sorted run), merges them in key order, keeps only the newest version of
 //! each key (sources are ranked youngest-first), and suppresses tombstoned
 //! keys. Compaction reuses the same merge with tombstone retention.
+//! [`scan_sources`] and [`read_merged`] are the one source builder and
+//! the one read loop that live and snapshot scans share.
 //!
 //! Every source is a *cursor* — `advance()` then `key()`/`value()` — so
 //! merged entries are borrowed views into pinned blocks; bytes are copied
 //! only where a caller materializes them ([`MergingIter::next_visible`],
 //! a table builder, a wire encoder).
 
+use std::ops::Bound;
 use std::sync::Arc;
 
 use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageResult};
 
 use crate::entry::{InternalEntry, ValueKind};
+use crate::kv_sep::{self, ValuePointer};
+use crate::memtable::Memtable;
 use crate::sstable::block::KeyBuf;
 use crate::sstable::{Table, TableIterator};
+use crate::version::Version;
+
+/// Builds the merge sources of a `[start, end)` scan (`end == None` =
+/// unbounded), youngest first: copies of the memtable's and the frozen
+/// memtable's in-range entries, then one lazy [`RunIterator`] per run,
+/// youngest level and run first. Range-filter pruning is an in-memory
+/// probe, so it happens here, counted into `range_filter_prunes`; data
+/// blocks are read only once the merge reaches a table. An empty range
+/// yields no sources.
+pub(crate) fn scan_sources(
+    mem: &Memtable,
+    imm: Option<&Memtable>,
+    version: &Version,
+    start: &[u8],
+    end: Option<&[u8]>,
+    cache: &Option<Arc<ShardedCache<Block>>>,
+    range_filter_prunes: &mut u64,
+) -> Vec<Source> {
+    if end.is_some_and(|e| start >= e) {
+        return Vec::new();
+    }
+    let hi = end.map_or(Bound::Unbounded, Bound::Excluded);
+    let mut sources: Vec<Source> = std::iter::once(mem)
+        .chain(imm)
+        .map(|m| Source::mem(m.range(Bound::Included(start), hi).collect()))
+        .collect();
+    for run in version.levels.iter().flat_map(|l| &l.runs) {
+        let tables: Vec<_> = run
+            .overlapping(start, end)
+            .iter()
+            .filter(|table| {
+                let keep = table.range_may_overlap(Bound::Included(start), hi);
+                *range_filter_prunes += u64::from(!keep);
+                keep
+            })
+            .cloned()
+            .collect();
+        if !tables.is_empty() {
+            sources.push(Source::Run(RunIterator::new(
+                tables,
+                start.to_vec(),
+                cache.clone(),
+            )));
+        }
+    }
+    sources
+}
+
+/// The read loop over a merge: calls `f(key, value)` for each visible
+/// entry below `end` (`None` = unbounded), in key order, up to `limit`,
+/// and returns how many it visited. Keys and inline values are borrowed
+/// from the merge cursor; a separated value is resolved through
+/// `read_ptr` first.
+pub(crate) fn read_merged(
+    sources: Vec<Source>,
+    end: Option<&[u8]>,
+    limit: usize,
+    separated: bool,
+    mut read_ptr: impl FnMut(ValuePointer) -> StorageResult<Vec<u8>>,
+    mut f: impl FnMut(&[u8], &[u8]),
+) -> StorageResult<usize> {
+    let mut merger = MergingIter::new(sources, false)?;
+    let mut n = 0usize;
+    while n < limit && merger.advance_visible()? {
+        if end.is_some_and(|e| merger.key() >= e) {
+            break;
+        }
+        let value = kv_sep::resolve(merger.value(), separated, &mut read_ptr)?;
+        f(merger.key(), &value);
+        n += 1;
+    }
+    Ok(n)
+}
 
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
 /// a table is opened (and its first block read) only when the scan
@@ -376,39 +454,6 @@ impl MergingIter {
             None
         })
     }
-
-    /// Collects up to `limit` visible entries with key ≤ `end` (inclusive
-    /// when `Some`).
-    pub fn collect_until(
-        &mut self,
-        end: Option<&[u8]>,
-        end_inclusive: bool,
-        limit: usize,
-    ) -> StorageResult<Vec<InternalEntry>> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            if !self.advance_visible()? {
-                break;
-            }
-            if let Some(end) = end {
-                let past = if end_inclusive {
-                    self.key() > end
-                } else {
-                    self.key() >= end
-                };
-                if past {
-                    break;
-                }
-            }
-            out.push(InternalEntry {
-                key: self.key().to_vec(),
-                seqno: self.seqno(),
-                kind: self.kind(),
-                value: self.value().to_vec(),
-            });
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -468,27 +513,6 @@ mod tests {
         assert_eq!(e.kind, ValueKind::Delete);
         assert_eq!(e.seqno, 9);
         assert!(m.next_visible().unwrap().is_none(), "old version still dropped");
-    }
-
-    #[test]
-    fn collect_until_respects_end_and_limit() {
-        let src = mem(vec![
-            ("a", 1, ValueKind::Put, ""),
-            ("b", 2, ValueKind::Put, ""),
-            ("c", 3, ValueKind::Put, ""),
-            ("d", 4, ValueKind::Put, ""),
-        ]);
-        let mut m = MergingIter::new(vec![src], false).unwrap();
-        let got = m.collect_until(Some(b"c"), false, 100).unwrap();
-        assert_eq!(got.len(), 2, "exclusive end");
-        let src = mem(vec![
-            ("a", 1, ValueKind::Put, ""),
-            ("b", 2, ValueKind::Put, ""),
-            ("c", 3, ValueKind::Put, ""),
-        ]);
-        let mut m = MergingIter::new(vec![src], false).unwrap();
-        let got = m.collect_until(Some(b"c"), true, 2).unwrap();
-        assert_eq!(got.len(), 2, "limit");
     }
 
     #[test]

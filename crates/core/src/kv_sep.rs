@@ -9,9 +9,10 @@
 //! Value encoding inside the LSM (only when separation is enabled):
 //! `[0x00, inline bytes…]` or `[0x01, file_id u64, offset u64, len u32]`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use lsm_storage::{FileId, IoCategory, StorageDevice, StorageResult, WritableFile};
+use lsm_storage::{FileId, IoCategory, StorageDevice, StorageError, StorageResult, WritableFile};
 
 use crate::entry::{get_varint, put_varint};
 
@@ -64,6 +65,25 @@ pub fn decode_value(raw: &[u8]) -> Option<Result<&[u8], ValuePointer>> {
             }))
         }
         _ => None,
+    }
+}
+
+/// The read path's one value resolver: maps a stored value to the
+/// user's bytes. Without separation the stored bytes are the value; with
+/// it, an inline value is unwrapped in place and a pointer is chased
+/// through `read_ptr` — the only case that returns owned bytes.
+pub(crate) fn resolve(
+    stored: &[u8],
+    separated: bool,
+    read_ptr: impl FnOnce(ValuePointer) -> StorageResult<Vec<u8>>,
+) -> StorageResult<Cow<'_, [u8]>> {
+    if !separated {
+        return Ok(Cow::Borrowed(stored));
+    }
+    match decode_value(stored) {
+        Some(Ok(inline)) => Ok(Cow::Borrowed(inline)),
+        Some(Err(ptr)) => read_ptr(ptr).map(Cow::Owned),
+        None => Err(StorageError::Corruption("bad separated value".into())),
     }
 }
 

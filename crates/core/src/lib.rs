@@ -57,7 +57,6 @@ pub mod kv_sep;
 pub mod manifest;
 pub mod memtable;
 pub mod obs;
-pub mod partitioned;
 pub mod snapshot;
 pub mod sstable;
 pub mod stats;
@@ -68,9 +67,8 @@ pub mod wal;
 pub use config::{
     BackgroundMode, CompactionGranularity, FilePicker, FilterAllocation, LsmConfig, MergeLayout,
 };
-pub use db::{Db, DbCore, DbIterator, WriteBatch};
+pub use db::{Db, DbCore, WriteBatch};
 pub use dynamic::{DynamicConfig, DynamicSnapshot, DynamicUpdate};
-pub use partitioned::PartitionedDb;
 pub use snapshot::Snapshot;
 pub use txn::{commit_parts, Conflict, Txn, TxnError, TxnPart};
 pub use entry::{InternalEntry, ValueKind};

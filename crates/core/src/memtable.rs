@@ -249,6 +249,16 @@ pub struct MemEntryRef<'a> {
     pub value: &'a [u8],
 }
 
+/// Newest buffered version of `key`: the active memtable first, then the
+/// frozen one awaiting flush, which is older.
+pub(crate) fn get_buffered<'a>(
+    mem: &'a Memtable,
+    imm: Option<&'a Memtable>,
+    key: &[u8],
+) -> Option<MemEntryRef<'a>> {
+    mem.get_ref(key).or_else(|| imm?.get_ref(key))
+}
+
 /// A sorted, size-tracked write buffer with an optional hash front.
 #[derive(Clone, Debug, Default)]
 pub struct Memtable {

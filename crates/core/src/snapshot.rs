@@ -5,21 +5,21 @@
 //! A [`Snapshot`] pins a memtable copy and a [`Version`]; the `Arc`ed
 //! tables keep their files alive even after compactions supersede them
 //! (physical deletion happens when the last reference drops), so a
-//! snapshot stays readable for as long as it is held — without blocking
-//! writers, unlike [`crate::Db::iter_range`]'s lock-holding iterator.
+//! snapshot stays readable for as long as it is held, without blocking
+//! writers. It reads through the engine's own level walk, merge-source
+//! builder, read loop, and value resolver.
 
-use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lsm_cache::ShardedCache;
-use lsm_storage::{Block, StorageDevice, StorageError, StorageResult};
+use lsm_storage::{Block, StorageDevice, StorageResult};
 
-use crate::entry::{InternalEntry, ValueKind};
-use crate::iter::{MergingIter, RunIterator, Source};
-use crate::kv_sep::{decode_value, read_pointer_from_device};
-use crate::memtable::Memtable;
-use crate::version::Version;
+use crate::entry::ValueKind;
+use crate::iter::{read_merged, scan_sources};
+use crate::kv_sep::{self, read_pointer_from_device};
+use crate::memtable::{get_buffered, Memtable};
+use crate::version::{ProbeTally, Version};
 
 /// An immutable point-in-time view of the database.
 pub struct Snapshot {
@@ -57,86 +57,58 @@ impl Drop for SnapshotPin {
 }
 
 impl Snapshot {
-    fn resolve(&self, raw: Vec<u8>) -> StorageResult<Vec<u8>> {
-        if !self.kv_separation {
-            return Ok(raw);
+    /// User bytes of a stored entry; `None` for a tombstone.
+    fn value_of(&self, kind: ValueKind, stored: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        if kind == ValueKind::Delete {
+            return Ok(None);
         }
-        match decode_value(&raw) {
-            Some(Ok(inline)) => Ok(inline.to_vec()),
-            Some(Err(ptr)) => read_pointer_from_device(&self.device, ptr),
-            None => Err(StorageError::Corruption("bad separated value".into())),
-        }
+        let v = kv_sep::resolve(stored, self.kv_separation, |ptr| {
+            read_pointer_from_device(&self.device, ptr)
+        })?;
+        Ok(Some(v.into_owned()))
     }
 
     /// Point lookup against the snapshot.
     pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let mem_hit = self
-            .mem
-            .get(key)
-            .or_else(|| self.imm.as_ref().and_then(|m| m.get(key)));
-        if let Some(e) = mem_hit {
-            return match e.kind {
-                ValueKind::Delete => Ok(None),
-                ValueKind::Put => Ok(Some(self.resolve(e.value)?)),
-            };
+        if let Some(e) = get_buffered(&self.mem, self.imm.as_deref(), key) {
+            return self.value_of(e.kind, e.value);
         }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                let Some(table) = run.table_for(key) else { continue };
-                let got = table.get(key, self.cache.as_deref())?;
-                if let Some(e) = got.entry {
-                    return match e.kind {
-                        ValueKind::Delete => Ok(None),
-                        ValueKind::Put => Ok(Some(self.resolve(e.value)?)),
-                    };
-                }
-            }
-        }
-        Ok(None)
+        let mut tally = ProbeTally::default();
+        self.version
+            .get_with(key, self.cache.as_deref(), &mut tally, |e| {
+                self.value_of(e.kind, e.value)
+            })?
+            .unwrap_or(Ok(None))
     }
 
-    /// Range scan against the snapshot: up to `limit` live entries with
-    /// `range.start ≤ key < range.end`, in key order.
-    pub fn scan(
+    /// Range scan against the snapshot through borrowed views: calls
+    /// `f(key, value)` for each live entry with `start ≤ key < end`
+    /// (`end == None` = to the end of the keyspace), in key order, up to
+    /// `limit` entries, and returns how many were visited.
+    pub fn scan_with(
         &self,
-        range: Range<Vec<u8>>,
+        start: &[u8],
+        end: Option<&[u8]>,
         limit: usize,
-    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        if range.start >= range.end {
-            return Ok(Vec::new());
-        }
-        let start = range.start.as_slice();
-        let end = range.end.as_slice();
-        let mut sources = Vec::new();
-        let mem_entries: Vec<InternalEntry> = self
-            .mem
-            .range(Bound::Included(start), Bound::Excluded(end))
-            .collect();
-        sources.push(Source::mem(mem_entries));
-        if let Some(imm) = &self.imm {
-            let imm_entries: Vec<InternalEntry> = imm
-                .range(Bound::Included(start), Bound::Excluded(end))
-                .collect();
-            sources.push(Source::mem(imm_entries));
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                let tables: Vec<_> = run.overlapping(start, end).to_vec();
-                if !tables.is_empty() {
-                    sources.push(Source::Run(RunIterator::new(
-                        tables,
-                        start.to_vec(),
-                        self.cache.clone(),
-                    )));
-                }
-            }
-        }
-        let mut merger = MergingIter::new(sources, false)?;
-        let entries = merger.collect_until(Some(end), false, limit)?;
-        entries
-            .into_iter()
-            .map(|e| Ok((e.key, self.resolve(e.value)?)))
-            .collect()
+        f: impl FnMut(&[u8], &[u8]),
+    ) -> StorageResult<usize> {
+        let sources = scan_sources(
+            &self.mem,
+            self.imm.as_deref(),
+            &self.version,
+            start,
+            end,
+            &self.cache,
+            &mut 0,
+        );
+        read_merged(
+            sources,
+            end,
+            limit,
+            self.kv_separation,
+            |ptr| read_pointer_from_device(&self.device, ptr),
+            f,
+        )
     }
 
     /// Number of entries visible to the snapshot (approximate: shadowed

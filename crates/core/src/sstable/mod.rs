@@ -18,4 +18,4 @@ pub mod reader;
 pub use block::{BlockBuilder, BlockEntry, BlockIter, EntryRef};
 pub use builder::TableBuilder;
 pub use meta::TableMeta;
-pub use reader::{Table, TableGet, TableIterator, TableProbe};
+pub use reader::{Table, TableIterator, TableProbe};

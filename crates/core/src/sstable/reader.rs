@@ -82,19 +82,7 @@ impl Locator {
     }
 }
 
-/// The result of a table point lookup, with the path taken (for stats).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableGet {
-    /// The matching entry, if the key is present in this table.
-    pub entry: Option<BlockEntry>,
-    /// Whether the point filter pruned the lookup (no data I/O happened).
-    pub filter_pruned: bool,
-    /// Data blocks actually read (cache hits included).
-    pub blocks_examined: u32,
-}
-
-/// Lookup-path statistics shared by [`Table::get`] and
-/// [`Table::get_with`].
+/// Lookup-path statistics of one [`Table::get_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableProbe {
     /// Whether the point filter pruned the lookup (no data I/O happened).
@@ -204,12 +192,6 @@ impl Table {
     /// the engine's current (possibly retuned) config says.
     pub fn filter_kind_tag(&self) -> u8 {
         self.meta.filter_kind_tag
-    }
-
-    /// Bits per key the builder used for this table's filters, recovered
-    /// from the footer (not from global config).
-    pub fn filter_bits_per_key(&self) -> f64 {
-        self.meta.filter_bits_milli as f64 / 1000.0
     }
 
     /// Lookups served since open (drives the "coldest" file picker).
@@ -322,8 +304,7 @@ impl Table {
     /// `f` runs at most once, on the matching entry, while the block is
     /// still pinned — so the caller can copy the value straight into its
     /// own buffer (or hand it to the wire encoder) without an
-    /// intermediate allocation. [`Table::get`] wraps this with an owned
-    /// [`BlockEntry`] for callers that need ownership.
+    /// intermediate allocation.
     pub fn get_with<R>(
         &self,
         key: &[u8],
@@ -416,20 +397,6 @@ impl Table {
             }
         }
         Ok((None, miss(false, blocks_examined)))
-    }
-
-    /// Point lookup within this table (owned result).
-    pub fn get(
-        &self,
-        key: &[u8],
-        cache: Option<&ShardedCache<Block>>,
-    ) -> StorageResult<TableGet> {
-        let (entry, probe) = self.get_with(key, cache, |e| e.to_entry())?;
-        Ok(TableGet {
-            entry,
-            filter_pruned: probe.filter_pruned,
-            blocks_examined: probe.blocks_examined,
-        })
     }
 
     /// Whether a range query `[lo, hi]` can skip this table entirely,
@@ -626,30 +593,39 @@ mod tests {
         (dev, table)
     }
 
+    /// Owned point lookup: the entry and the probe path.
+    fn get(
+        t: &Table,
+        key: &[u8],
+        cache: Option<&ShardedCache<Block>>,
+    ) -> StorageResult<(Option<BlockEntry>, TableProbe)> {
+        t.get_with(key, cache, |e| e.to_entry())
+    }
+
     #[test]
     fn get_found_and_absent() {
         let (_dev, t) = build_table(1000, IndexKind::Fence);
-        let hit = t.get(b"key000123", None).unwrap();
-        let e = hit.entry.unwrap();
+        let hit = get(&t, b"key000123", None).unwrap();
+        let e = hit.0.unwrap();
         assert_eq!(e.value, b"val000123".to_vec());
         assert_eq!(e.seqno, 123);
-        assert_eq!(hit.blocks_examined, 1, "fences read exactly one block");
+        assert_eq!(hit.1.blocks_examined, 1, "fences read exactly one block");
 
-        let miss = t.get(b"key000123x", None).unwrap();
-        assert!(miss.entry.is_none());
+        let miss = get(&t, b"key000123x", None).unwrap();
+        assert!(miss.0.is_none());
         // absent key inside range: either filter pruned or one block read
-        assert!(miss.filter_pruned || miss.blocks_examined <= 1);
+        assert!(miss.1.filter_pruned || miss.1.blocks_examined <= 1);
 
-        let out = t.get(b"zzz", None).unwrap();
-        assert!(out.entry.is_none());
-        assert_eq!(out.blocks_examined, 0, "out of range costs nothing");
+        let out = get(&t, b"zzz", None).unwrap();
+        assert!(out.0.is_none());
+        assert_eq!(out.1.blocks_examined, 0, "out of range costs nothing");
     }
 
     #[test]
     fn tombstones_are_returned_as_entries() {
         let (_dev, t) = build_table(100, IndexKind::Fence);
-        let hit = t.get(b"key000009", None).unwrap();
-        assert_eq!(hit.entry.unwrap().kind, ValueKind::Delete);
+        let hit = get(&t, b"key000009", None).unwrap();
+        assert_eq!(hit.0.unwrap().kind, ValueKind::Delete);
     }
 
     #[test]
@@ -658,13 +634,13 @@ mod tests {
         let before = dev.stats().snapshot().category(IoCategory::Data).read_blocks;
         let mut pruned = 0;
         for i in 0..200 {
-            let miss = t.get(format!("missing{i:04}xx").as_bytes(), None).unwrap();
+            let miss = get(&t, format!("missing{i:04}xx").as_bytes(), None).unwrap();
             // 'missing...' sorts after 'key...', so it's out of range; use
             // keys inside the range instead
             let _ = miss;
             let probe = format!("key{:06}x", i * 3);
-            let r = t.get(probe.as_bytes(), None).unwrap();
-            if r.filter_pruned {
+            let r = get(&t, probe.as_bytes(), None).unwrap();
+            if r.1.filter_pruned {
                 pruned += 1;
             }
         }
@@ -687,11 +663,11 @@ mod tests {
             let (_dev, t) = build_table(800, kind);
             for i in (0..800).step_by(37) {
                 let key = format!("key{i:06}");
-                let hit = t.get(key.as_bytes(), None).unwrap();
+                let hit = get(&t, key.as_bytes(), None).unwrap();
                 assert!(
-                    hit.entry.is_some(),
+                    hit.0.is_some(),
                     "{kind:?} lost {key} (examined {})",
-                    hit.blocks_examined
+                    hit.1.blocks_examined
                 );
             }
         }
@@ -713,10 +689,10 @@ mod tests {
     fn cache_absorbs_repeat_reads() {
         let (dev, t) = build_table(500, IndexKind::Fence);
         let cache = ShardedCache::new(lsm_cache::CachePolicy::Lru, 1 << 20, 2);
-        t.get(b"key000100", Some(&cache)).unwrap();
+        get(&t, b"key000100", Some(&cache)).unwrap();
         let before = dev.stats().snapshot().category(IoCategory::Data).read_blocks;
         for _ in 0..50 {
-            t.get(b"key000100", Some(&cache)).unwrap();
+            get(&t, b"key000100", Some(&cache)).unwrap();
         }
         let after = dev.stats().snapshot().category(IoCategory::Data).read_blocks;
         assert_eq!(after, before, "repeat lookups must be cache hits");
@@ -762,7 +738,7 @@ mod tests {
     fn access_counter_increments() {
         let (_dev, t) = build_table(10, IndexKind::Fence);
         assert_eq!(t.accesses(), 0);
-        t.get(b"key000001", None).unwrap();
+        get(&t, b"key000001", None).unwrap();
         let _ = t.iter_from(b"", None).unwrap();
         assert_eq!(t.accesses(), 2);
     }
@@ -796,7 +772,7 @@ mod tests {
         dev.seal(id2).unwrap();
         let corrupt_file = lsm_storage::ImmutableFile::open(dev.clone(), id2).unwrap();
         let table = Table::open(corrupt_file, IndexKind::Fence).unwrap();
-        let err = table.get(b"key000000", None);
+        let err = get(&table, b"key000000", None);
         assert!(
             matches!(err, Err(lsm_storage::StorageError::Corruption(_))),
             "corruption must surface as an error: {err:?}"

@@ -118,22 +118,6 @@ impl Txn {
         })
     }
 
-    /// The highest sequence number visible to this transaction's
-    /// snapshot — its validation floor.
-    pub fn snapshot_seqno(&self) -> u64 {
-        self.snap_seqno
-    }
-
-    /// Keys read so far (validated at commit).
-    pub fn read_set_len(&self) -> usize {
-        self.read_set.len()
-    }
-
-    /// Writes buffered so far.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Transactional read: own buffered writes first, then the snapshot.
     /// The key joins the read-set either way.
     pub fn get(&mut self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
@@ -249,11 +233,6 @@ impl TxnPart {
     /// commit will apply.
     pub fn writes(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
         &self.writes
-    }
-
-    /// Keys in the part's read-set.
-    pub fn read_set_len(&self) -> usize {
-        self.read_set.len()
     }
 
     /// Releases the part's snapshot floor without committing (abort).

@@ -10,7 +10,10 @@
 
 use std::sync::Arc;
 
-use crate::sstable::Table;
+use lsm_cache::ShardedCache;
+use lsm_storage::{Block, StorageResult};
+
+use crate::sstable::{EntryRef, Table};
 
 /// A sorted run: tables with pairwise-disjoint key ranges, in key order.
 #[derive(Clone, Default)]
@@ -68,14 +71,16 @@ impl SortedRun {
         t.meta().key_in_range(key).then_some(t)
     }
 
-    /// Tables whose key range intersects `[lo, hi]` (inclusive).
-    pub fn overlapping(&self, lo: &[u8], hi: &[u8]) -> &[Arc<Table>] {
+    /// Tables whose key range intersects `[lo, hi]` (inclusive; `None`
+    /// = unbounded).
+    pub fn overlapping(&self, lo: &[u8], hi: Option<&[u8]>) -> &[Arc<Table>] {
         let start = self
             .tables
             .partition_point(|t| t.meta().max_key.as_slice() < lo);
-        let end = self
-            .tables
-            .partition_point(|t| t.meta().min_key.as_slice() <= hi);
+        let end = hi.map_or(self.tables.len(), |hi| {
+            self.tables
+                .partition_point(|t| t.meta().min_key.as_slice() <= hi)
+        });
         &self.tables[start.min(end)..end]
     }
 
@@ -107,6 +112,20 @@ impl Level {
     pub fn is_empty(&self) -> bool {
         self.runs.iter().all(|r| r.is_empty())
     }
+}
+
+/// What one point lookup's level walk cost — the engine adds it to its
+/// counters; a snapshot read drops it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Runs whose key range covered the key, so a table was probed.
+    pub runs_probed: u64,
+    /// Runs skipped because no table's key range covers the key.
+    pub range_prunes: u64,
+    /// Probed tables whose point filter answered "absent".
+    pub filter_prunes: u64,
+    /// Data blocks read (cache hits included).
+    pub blocks_examined: u64,
 }
 
 /// An immutable snapshot of the storage layout.
@@ -169,6 +188,36 @@ impl Version {
         ids
     }
 
+    /// The point-lookup level walk: probes every run youngest first (at
+    /// most one table per run, by disjointness) and stops at the first
+    /// that holds `key`. `f` runs at most once, on that newest entry —
+    /// a tombstone included — while its block is pinned, and its result
+    /// is returned. The walk's cost accumulates into `tally`, also when
+    /// a probe fails.
+    pub fn get_with<R>(
+        &self,
+        key: &[u8],
+        cache: Option<&ShardedCache<Block>>,
+        tally: &mut ProbeTally,
+        f: impl FnOnce(EntryRef<'_>) -> R,
+    ) -> StorageResult<Option<R>> {
+        let mut f = Some(f);
+        for run in self.levels.iter().flat_map(|l| &l.runs) {
+            let Some(table) = run.table_for(key) else {
+                tally.range_prunes += 1;
+                continue;
+            };
+            tally.runs_probed += 1;
+            let (hit, probe) = table.get_with(key, cache, |e| (f.take().unwrap())(e))?;
+            tally.filter_prunes += probe.filter_pruned as u64;
+            tally.blocks_examined += probe.blocks_examined as u64;
+            if hit.is_some() {
+                return Ok(hit);
+            }
+        }
+        Ok(None)
+    }
+
     /// Ensures `levels` has at least `n` entries.
     pub fn ensure_levels(&mut self, n: usize) {
         while self.levels.len() < n {
@@ -215,10 +264,11 @@ mod tests {
     #[test]
     fn run_overlapping_slices() {
         let run = SortedRun::from_tables(vec![table(0..100), table(200..300), table(400..500)]);
-        assert_eq!(run.overlapping(b"key000050", b"key000250").len(), 2);
-        assert_eq!(run.overlapping(b"key000100x", b"key000150").len(), 0);
-        assert_eq!(run.overlapping(b"", b"zzz").len(), 3);
-        assert_eq!(run.overlapping(b"key000400", b"key000400").len(), 1);
+        assert_eq!(run.overlapping(b"key000050", Some(b"key000250")).len(), 2);
+        assert_eq!(run.overlapping(b"key000100x", Some(b"key000150")).len(), 0);
+        assert_eq!(run.overlapping(b"", Some(b"zzz")).len(), 3);
+        assert_eq!(run.overlapping(b"key000400", Some(b"key000400")).len(), 1);
+        assert_eq!(run.overlapping(b"key000250", None).len(), 2);
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn warm_db(n: u32) -> Db {
     for i in 0..n {
         assert!(db.get_into(&key(i), &mut buf).unwrap(), "warmup miss {i}");
     }
-    let visited = db.scan_with(&key(0), &key(n), usize::MAX, |_, _| {}).unwrap();
+    let visited = db.scan_with(&key(0), Some(&key(n)), usize::MAX, |_, _| {}).unwrap();
     assert_eq!(visited, n as usize, "warmup scan must see everything");
     db
 }
@@ -158,7 +158,7 @@ fn scan_allocation_cost_is_setup_only() {
         let mut bytes = 0usize;
         let allocs = count_allocs(|| {
             let n = db
-                .scan_with(&key(0), &key(2000), limit, |k, v| {
+                .scan_with(&key(0), Some(&key(2000)), limit, |k, v| {
                     entries += 1;
                     bytes += k.len() + v.len();
                 })
@@ -270,7 +270,7 @@ fn borrowed_reads_match_owned_reads_and_model() {
     ] {
         let owned = db.scan(key(lo)..key(hi), limit).unwrap();
         let mut streamed = Vec::new();
-        db.scan_with(&key(lo), &key(hi), limit, |k, v| {
+        db.scan_with(&key(lo), Some(&key(hi)), limit, |k, v| {
             streamed.push((k.to_vec(), v.to_vec()));
         })
         .unwrap();

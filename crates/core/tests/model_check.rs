@@ -91,7 +91,9 @@ fn run_against_model(cfg: LsmConfig, ops: &[Op]) {
                 "snapshot get({k}) diverged"
             );
         }
-        let got = snap.scan(key(0)..key(u16::MAX), usize::MAX).unwrap();
+        let mut got = Vec::new();
+        snap.scan_with(&key(0), None, usize::MAX, |k, v| got.push((k.to_vec(), v.to_vec())))
+            .unwrap();
         let expect: Vec<(Vec<u8>, Vec<u8>)> =
             snap_model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         assert_eq!(got, expect, "snapshot scan diverged");

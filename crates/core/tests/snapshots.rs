@@ -2,11 +2,50 @@
 //! many writes, flushes, and compactions happen after it — including
 //! compactions that physically supersede every file the snapshot reads.
 
+use std::collections::BTreeMap;
+
 use lsm_core::config::KvSeparation;
-use lsm_core::{Db, LsmConfig, MergeLayout};
+use lsm_core::{Db, LsmConfig, MergeLayout, RangeFilterKind, Snapshot};
 
 fn key(i: u32) -> Vec<u8> {
     format!("user{i:08}").into_bytes()
+}
+
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Every entry a snapshot's `scan_with` visits, owned.
+fn snap_scan(snap: &Snapshot, start: &[u8], end: Option<&[u8]>, limit: usize) -> Entries {
+    let mut out = Vec::new();
+    let n = snap
+        .scan_with(start, end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))
+        .unwrap();
+    assert_eq!(n, out.len());
+    out
+}
+
+/// Every entry the live engine's `scan_with` visits, owned.
+fn live_scan(db: &Db, start: &[u8], end: Option<&[u8]>, limit: usize) -> Entries {
+    let mut out = Vec::new();
+    let n = db
+        .scan_with(start, end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))
+        .unwrap();
+    assert_eq!(n, out.len());
+    out
+}
+
+/// The oracle's answer to a `[start, end)` scan of at most `limit`.
+fn oracle_scan(
+    oracle: &BTreeMap<Vec<u8>, Vec<u8>>,
+    start: &[u8],
+    end: Option<&[u8]>,
+    limit: usize,
+) -> Entries {
+    oracle
+        .range(start.to_vec()..)
+        .take_while(|(k, _)| end.is_none_or(|e| k.as_slice() < e))
+        .take(limit)
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
 }
 
 #[test]
@@ -35,7 +74,7 @@ fn snapshot_is_isolated_from_later_writes() {
         );
     }
     assert_eq!(snap.get(&key(600)).unwrap(), None, "later insert visible");
-    let scanned = snap.scan(key(0)..key(1000), usize::MAX).unwrap();
+    let scanned = snap_scan(&snap, &key(0), Some(&key(1000)), usize::MAX);
     assert_eq!(scanned.len(), 500);
     assert_eq!(scanned[0].1, b"v1-0".to_vec());
     // while the live view moved on
@@ -70,7 +109,7 @@ fn snapshot_survives_full_compaction_of_its_files() {
             "key {i} after compaction"
         );
     }
-    let scanned = snap.scan(key(100)..key(120), 100).unwrap();
+    let scanned = snap_scan(&snap, &key(100), Some(&key(120)), 100);
     assert_eq!(scanned.len(), 20);
     assert!(scanned.iter().all(|(_, v)| v.starts_with(b"old-")));
     // dropping the snapshot releases the superseded files
@@ -235,6 +274,105 @@ fn many_concurrent_snapshots() {
                 Some(format!("g{gen}-{i}").into_bytes()),
                 "generation {gen}, key {i}"
             );
+        }
+    }
+}
+
+/// Live and snapshot reads at the same instant are one read path: for
+/// every {kv separation} × {range filter} combination, a snapshot's
+/// `get` and `scan_with` (bounded, open-ended, limited) equal the live
+/// engine's and a `BTreeMap` oracle's — and, with the block cache off, a
+/// snapshot scan reads no more device blocks than the same live scan
+/// (both prune runs with the range filter).
+#[test]
+fn snapshot_reads_agree_with_live_reads_and_oracle() {
+    let separations = [None, Some(KvSeparation { min_value_bytes: 24 })];
+    let range_filters = [RangeFilterKind::None, RangeFilterKind::Surf { suffix_bits: 8 }];
+    for kv_separation in separations {
+        for range_filter in range_filters {
+            let ctx = format!("kv_separation={kv_separation:?} range_filter={range_filter:?}");
+            let db = Db::open_in_memory(LsmConfig {
+                kv_separation,
+                range_filter,
+                layout: MergeLayout::Tiered, // many runs → many prune chances
+                cache_bytes: 0,
+                ..LsmConfig::small_for_tests()
+            })
+            .unwrap();
+            let mut oracle = BTreeMap::new();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for round in 0..6u8 {
+                for _ in 0..400 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = key((x % 2000) as u32);
+                    if x % 5 == 0 {
+                        db.delete(k.clone()).unwrap();
+                        oracle.remove(&k);
+                    } else {
+                        // lengths straddle the separation threshold
+                        let v = vec![round; (x % 48) as usize + 1];
+                        db.put(k.clone(), v.clone()).unwrap();
+                        oracle.insert(k, v);
+                    }
+                }
+                // the last round stays in the memtable
+                if round < 5 {
+                    db.flush().unwrap();
+                }
+            }
+            // quiesce background maintenance so the live tree stays the
+            // snapshot's for the rest of the test
+            db.wait_background_idle();
+            let snap = db.snapshot().unwrap();
+            for i in 0..2100u32 {
+                let want = oracle.get(&key(i)).cloned();
+                assert_eq!(db.get(&key(i)).unwrap(), want, "{ctx}: live get {i}");
+                assert_eq!(snap.get(&key(i)).unwrap(), want, "{ctx}: snapshot get {i}");
+            }
+            let ranges: [(u32, Option<u32>, usize); 6] = [
+                (0, Some(2000), usize::MAX),
+                (150, Some(170), usize::MAX),
+                (700, Some(1400), 33),
+                (1900, None, usize::MAX),
+                (0, None, usize::MAX),
+                (500, Some(500), usize::MAX),
+            ];
+            for (lo, hi, limit) in ranges {
+                let (lo, hi) = (key(lo), hi.map(key));
+                let want = oracle_scan(&oracle, &lo, hi.as_deref(), limit);
+                let live = live_scan(&db, &lo, hi.as_deref(), limit);
+                let snapped = snap_scan(&snap, &lo, hi.as_deref(), limit);
+                assert_eq!(live, want, "{ctx}: live scan {lo:?}..{hi:?}");
+                assert_eq!(snapped, want, "{ctx}: snapshot scan {lo:?}..{hi:?}");
+            }
+            // short scans in the gaps between adjacent keys: every table
+            // covering the gap holds no key in it, so only the range
+            // filter can skip it
+            let (mut live_blocks, mut snap_blocks) = (0, 0);
+            for i in (0..2000u32).step_by(7) {
+                let lo = [key(i), b"a".to_vec()].concat();
+                let hi = [key(i), b"zz".to_vec()].concat();
+                let t0 = db.io_stats().total_read_blocks();
+                let live = live_scan(&db, &lo, Some(&hi), 10);
+                let t1 = db.io_stats().total_read_blocks();
+                let snapped = snap_scan(&snap, &lo, Some(&hi), 10);
+                let t2 = db.io_stats().total_read_blocks();
+                assert!(live.is_empty() && snapped.is_empty(), "{ctx}: gap {i} not empty");
+                live_blocks += t1 - t0;
+                snap_blocks += t2 - t1;
+                assert!(
+                    t2 - t1 <= t1 - t0,
+                    "{ctx}: snapshot gap scan {i} read {} blocks, live read {}",
+                    t2 - t1,
+                    t1 - t0
+                );
+            }
+            assert_eq!(snap_blocks, live_blocks, "{ctx}: gap-scan block reads");
+            if range_filter != RangeFilterKind::None {
+                assert!(db.stats().snapshot().range_filter_prunes > 0, "{ctx}: never pruned");
+            }
         }
     }
 }

@@ -75,12 +75,6 @@ impl Drop for TapGuard<'_> {
     }
 }
 
-/// `[start, end)` with `end == None` meaning "to the end of the
-/// keyspace", materialized for `Snapshot::scan`'s owned range.
-fn end_key(hi: Option<&[u8]>) -> Vec<u8> {
-    hi.map(<[u8]>::to_vec).unwrap_or_else(|| vec![0xFF; 64])
-}
-
 /// Applies one tapped ops region to `dst` as a single batch.
 fn apply_region(dst: &Db, region: &[u8]) -> Result<(), String> {
     let mut batch = WriteBatch::new();
@@ -93,57 +87,60 @@ fn apply_region(dst: &Db, region: &[u8]) -> Result<(), String> {
     dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())
 }
 
+/// Rewrites every live key in `[lo, hi)` (`hi == None` = to the end of
+/// the keyspace) in chunked write batches to `dst`: `scan` visits up to
+/// a chunk of entries from a start key, and `op` turns each into a batch
+/// op.
+fn rewrite_range(
+    scan: impl Fn(&[u8], &mut dyn FnMut(&[u8], &[u8])) -> lsm_storage::StorageResult<usize>,
+    lo: &[u8],
+    dst: &Db,
+    op: impl Fn(&mut WriteBatch, &[u8], &[u8]),
+) -> Result<(), String> {
+    let mut cursor = lo.to_vec();
+    loop {
+        let mut batch = WriteBatch::new();
+        let mut last = Vec::new();
+        scan(&cursor, &mut |k, v| {
+            op(&mut batch, k, v);
+            last.clear();
+            last.extend_from_slice(k);
+        })
+        .map_err(|e| e.to_string())?;
+        if batch.is_empty() {
+            return Ok(());
+        }
+        cursor = last;
+        cursor.push(0); // successor: resume strictly after the last key
+        dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
+    }
+}
+
 /// Streams `snap`'s live entries in `[lo, hi)` into `dst`, chunked.
 fn copy_range(
     snap: &lsm_core::snapshot::Snapshot,
     lo: &[u8],
     hi: Option<&[u8]>,
     dst: &Db,
-) -> Result<u64, String> {
-    let end = end_key(hi);
-    let mut cursor = lo.to_vec();
-    let mut copied = 0u64;
-    loop {
-        let chunk = snap
-            .scan(cursor.clone()..end.clone(), COPY_CHUNK)
-            .map_err(|e| e.to_string())?;
-        let Some((last, _)) = chunk.last() else {
-            return Ok(copied);
-        };
-        cursor = last.clone();
-        cursor.push(0); // successor: resume strictly after the last key
-        let mut batch = WriteBatch::new();
-        for (k, v) in chunk {
-            batch.put(k, v);
-        }
-        copied += batch.len() as u64;
-        dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
-    }
+) -> Result<(), String> {
+    rewrite_range(
+        |from, f| snap.scan_with(from, hi, COPY_CHUNK, f),
+        lo,
+        dst,
+        |b, k, v| b.put(k.to_vec(), v.to_vec()),
+    )
 }
 
 /// Writes a tombstone over every live key `db` holds in `[lo, hi)` — the
 /// anti-resurrection step before a merge copies into a shard that may
 /// hold a stale copy of the range from an earlier split.
-fn clear_range(db: &Db, lo: &[u8], hi: Option<&[u8]>) -> Result<u64, String> {
-    let end = end_key(hi);
-    let mut cursor = lo.to_vec();
-    let mut cleared = 0u64;
-    loop {
-        let chunk = db
-            .scan(cursor.clone()..end.clone(), COPY_CHUNK)
-            .map_err(|e| e.to_string())?;
-        let Some((last, _)) = chunk.last() else {
-            return Ok(cleared);
-        };
-        cursor = last.clone();
-        cursor.push(0);
-        let mut batch = WriteBatch::new();
-        for (k, _) in chunk {
-            batch.delete(k);
-        }
-        cleared += batch.len() as u64;
-        db.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
-    }
+fn clear_range(db: &Db, lo: &[u8], hi: Option<&[u8]>) -> Result<(), String> {
+    rewrite_range(
+        |from, f| db.scan_with(from, hi, COPY_CHUNK, f),
+        lo,
+        db,
+        |b, k, _| b.delete(k.to_vec()),
+    )
 }
 
 /// Drains whatever the tap has buffered and applies it to `dst`.

@@ -138,13 +138,13 @@ impl ShardSet {
         (s, e)
     }
 
-    /// Streaming cross-shard scan: calls `f(key, value)` for each entry
-    /// in key order, up to `limit`, and returns how many were visited.
-    /// Range routing visits only the owning shards, in partition order —
-    /// ordered concatenation, no merge. Hash routing with one shard
-    /// streams straight off the engine's merge cursor; with multiple
-    /// shards the per-shard results must be materialized for the k-way
-    /// merge first.
+    /// Cross-shard ordered scan of `[start, end)`: calls `f(key, value)`
+    /// for each entry in key order, up to `limit`, and returns how many
+    /// were visited. Range routing visits only the owning shards, each
+    /// clamped to its owned range, in partition order — ordered
+    /// concatenation, no merge. Hash routing with one shard streams
+    /// straight off the engine's merge cursor; with several, every
+    /// shard's scan is materialized and stitched with a k-way merge.
     pub fn scan_with(
         &self,
         start: &[u8],
@@ -160,7 +160,7 @@ impl ShardSet {
                 let mut n = 0usize;
                 for idx in map.overlapping(start, end) {
                     let (s, e) = Self::clamp(map, idx, start, end);
-                    n += self.shards[idx].scan_with(s, e, limit - n, &mut f)?;
+                    n += self.shards[idx].scan_with(s, Some(e), limit - n, &mut f)?;
                     if n >= limit {
                         break;
                     }
@@ -168,67 +168,33 @@ impl ShardSet {
                 Ok(n)
             }
             Routing::Hash if self.shards.len() == 1 => {
-                self.shards[0].scan_with(start, end, limit, f)
+                self.shards[0].scan_with(start, Some(end), limit, f)
             }
             Routing::Hash => {
-                let merged = self.scan(start, end, limit)?;
-                let n = merged.len();
-                for (k, v) in &merged {
+                let per_shard = self
+                    .shards
+                    .iter()
+                    .map(|db| db.scan(start.to_vec()..end.to_vec(), limit))
+                    .collect::<StorageResult<Vec<_>>>()?;
+                // shards partition the keyspace disjointly, so no key
+                // appears twice and ties cannot happen
+                let mut cursors = vec![0usize; per_shard.len()];
+                let mut n = 0usize;
+                while n < limit {
+                    let Some(s) = (0..per_shard.len())
+                        .filter(|&s| cursors[s] < per_shard[s].len())
+                        .min_by_key(|&s| &per_shard[s][cursors[s]].0)
+                    else {
+                        break;
+                    };
+                    let (k, v) = &per_shard[s][cursors[s]];
                     f(k, v);
+                    cursors[s] += 1;
+                    n += 1;
                 }
                 Ok(n)
             }
         }
-    }
-
-    /// Cross-shard ordered scan of `[start, end)`, at most `limit`
-    /// entries. Range routing concatenates the owning shards' clamped
-    /// scans in partition order; hash routing stitches every shard's
-    /// scan with a k-way merge.
-    pub fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        if limit == 0 || start >= end {
-            return Ok(Vec::new());
-        }
-        if let Routing::Range(map) = &self.routing {
-            let mut out = Vec::new();
-            for idx in map.overlapping(start, end) {
-                let (s, e) = Self::clamp(map, idx, start, end);
-                let mut part = self.shards[idx].scan(s.to_vec()..e.to_vec(), limit - out.len())?;
-                out.append(&mut part);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-            return Ok(out);
-        }
-        let mut per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::with_capacity(self.shards.len());
-        for db in &self.shards {
-            per_shard.push(db.scan(start.to_vec()..end.to_vec(), limit)?);
-        }
-        // k-way merge by key; shards partition the keyspace disjointly,
-        // so no key appears twice and ties cannot happen
-        let mut cursors = vec![0usize; per_shard.len()];
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while out.len() < limit {
-            let mut best: Option<usize> = None;
-            for (s, list) in per_shard.iter().enumerate() {
-                if cursors[s] >= list.len() {
-                    continue;
-                }
-                let candidate = &list[cursors[s]].0;
-                if best.is_none_or(|b| candidate < &per_shard[b][cursors[b]].0) {
-                    best = Some(s);
-                }
-            }
-            match best {
-                Some(s) => {
-                    out.push(per_shard[s][cursors[s]].clone());
-                    cursors[s] += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(out)
     }
 
     /// Flushes every shard to quiescence (graceful-drain step).
@@ -256,6 +222,16 @@ mod tests {
                 .map(|_| Db::open_in_memory(LsmConfig::small_for_tests()).unwrap())
                 .collect(),
         )
+    }
+
+    /// Every entry `scan_with` visits over `[start, end)`, owned.
+    fn scan(set: &ShardSet, start: &[u8], end: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        let n = set
+            .scan_with(start, end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))
+            .unwrap();
+        assert_eq!(n, out.len(), "visit count must match the entries fed");
+        out
     }
 
     fn range_set(n: usize) -> ShardSet {
@@ -306,18 +282,18 @@ mod tests {
             let key = format!("s{i:05}").into_bytes();
             set.db(set.shard_index(&key)).put(key, vec![0u8; 4]).unwrap();
         }
-        let got = set.scan(b"s00050", b"s00150", 40).unwrap();
+        let got = scan(&set, b"s00050", b"s00150", 40);
         assert_eq!(got.len(), 40);
         for (i, (k, _)) in got.iter().enumerate() {
             assert_eq!(k, format!("s{:05}", 50 + i).as_bytes(), "entry {i} out of order");
         }
         // unlimited-enough scan sees the whole range, still ordered
-        let all = set.scan(b"s00000", b"s00300", 1000).unwrap();
+        let all = scan(&set, b"s00000", b"s00300", 1000);
         assert_eq!(all.len(), 300);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
         // degenerate ranges
-        assert!(set.scan(b"z", b"a", 10).unwrap().is_empty());
-        assert!(set.scan(b"a", b"z", 0).unwrap().is_empty());
+        assert!(scan(&set, b"z", b"a", 10).is_empty());
+        assert!(scan(&set, b"a", b"z", 0).is_empty());
     }
 
     #[test]
@@ -328,17 +304,11 @@ mod tests {
             let key = vec![(i % 256) as u8, (i / 256) as u8, i as u8];
             set.db(set.shard_index(&key)).put(key, vec![b'v']).unwrap();
         }
-        let all = set.scan(&[], &[0xFF, 0xFF, 0xFF, 0xFF], 1000).unwrap();
+        let all = scan(&set, &[], &[0xFF, 0xFF, 0xFF, 0xFF], 1000);
         assert_eq!(all.len(), 300);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "concat out of order");
-        let mut streamed = Vec::new();
-        let n = set
-            .scan_with(&[], &[0xFF, 0xFF, 0xFF, 0xFF], 1000, |k, v| {
-                streamed.push((k.to_vec(), v.to_vec()));
-            })
-            .unwrap();
-        assert_eq!(n, 300);
-        assert_eq!(streamed, all, "streamed scan must match owned scan");
+        // a limit cuts the concatenation mid-shard
+        assert_eq!(scan(&set, &[], &[0xFF, 0xFF, 0xFF, 0xFF], 77), all[..77]);
     }
 
     /// The satellite regression: a range scan must touch only the shards
@@ -353,7 +323,7 @@ mod tests {
         }
         let before: Vec<u64> = set.dbs().iter().map(|d| d.stats().snapshot().scans).collect();
         // [16, 32) lies entirely inside shard 0's range [0, 64)
-        let got = set.scan(&[16], &[32], 100).unwrap();
+        let got = scan(&set, &[16], &[32], 100);
         assert_eq!(got.len(), 16);
         let after: Vec<u64> = set.dbs().iter().map(|d| d.stats().snapshot().scans).collect();
         let touched: Vec<usize> = (0..4).filter(|&i| after[i] > before[i]).collect();
@@ -361,7 +331,7 @@ mod tests {
 
         // a two-shard range touches exactly those two
         let before = after;
-        let got = set.scan(&[60], &[70], 100).unwrap();
+        let got = scan(&set, &[60], &[70], 100);
         assert_eq!(got.len(), 10);
         let after: Vec<u64> = set.dbs().iter().map(|d| d.stats().snapshot().scans).collect();
         let touched: Vec<usize> = (0..4).filter(|&i| after[i] > before[i]).collect();
@@ -386,15 +356,10 @@ mod tests {
         set.db(0).put(vec![200], b"stale".to_vec()).unwrap();
         set.db(1).put(vec![200], b"fresh".to_vec()).unwrap();
         assert_eq!(set.get(&[200]).unwrap(), Some(b"fresh".to_vec()));
-        let all = set.scan(&[], &[0xFF], 100).unwrap();
         assert_eq!(
-            all,
+            scan(&set, &[], &[0xFF], 100),
             vec![(vec![10], b"mine".to_vec()), (vec![200], b"fresh".to_vec())],
             "stale donor copy leaked into the scan"
         );
-        let mut streamed = Vec::new();
-        set.scan_with(&[], &[0xFF], 100, |k, v| streamed.push((k.to_vec(), v.to_vec())))
-            .unwrap();
-        assert_eq!(streamed, all);
     }
 }

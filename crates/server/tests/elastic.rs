@@ -235,8 +235,45 @@ fn concurrent_clients_survive_splits_and_merges() {
     let (recovered, dbs) = cluster.reopen().expect("recover elastic cluster");
     assert_eq!(recovered.version, map.version, "durable map lags the served one");
     let set = ShardSet::with_map(dbs, recovered);
-    let after = set.scan(b"t", b"u", 1_000_000).unwrap();
+    let mut after = Vec::new();
+    set.scan_with(b"t", b"u", 1_000_000, |k, v| after.push((k.to_vec(), v.to_vec())))
+        .unwrap();
     assert_eq!(after, want, "reopened cluster diverged from oracle");
+}
+
+/// Live migration copies the last shard's range to the true end of the
+/// keyspace: keys at or past 64 bytes of `0xFF` survive a split and a
+/// merge of the last shard, and stay readable after the cut-over.
+#[test]
+fn migrating_the_last_shard_keeps_keys_at_the_top_of_the_keyspace() {
+    let cluster = start_elastic_cluster(
+        ShardMap::uniform(2),
+        wal_cfg(),
+        ServerConfig::default(),
+        None,
+    );
+    let server = cluster.server.as_ref().unwrap();
+    let mut c = cluster.client();
+    let keys = [vec![0xC8], vec![0xFF; 64], vec![0xFF; 65]];
+    for (i, k) in keys.iter().enumerate() {
+        c.put(k, format!("top-{i}").as_bytes()).unwrap();
+    }
+    let read_back = |c: &mut Client, step: &str| {
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(
+                c.get(k).unwrap(),
+                Some(format!("top-{i}").into_bytes()),
+                "key of {} bytes lost after the {step}",
+                k.len()
+            );
+        }
+    };
+    let last = server.shard_map().unwrap().len() - 1;
+    server.split_shard(last, Some(vec![0xC0])).unwrap();
+    read_back(&mut c, "split of the last shard");
+    let last = server.shard_map().unwrap().len() - 1;
+    server.merge_shards(last - 1).unwrap();
+    read_back(&mut c, "merge of the last shard");
 }
 
 #[test]

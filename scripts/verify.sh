@@ -49,27 +49,28 @@ echo "==> allocation-regression battery (counting allocator + borrowed-vs-owned 
 cargo test -q -p lsm-core --release --test alloc_regression
 LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test alloc_regression
 
-echo "==> bench smoke run with metrics artifact"
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e18_write_stalls -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e18_write_stalls.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e19_parallel_compaction -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e19_parallel_compaction.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e20_server_throughput -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e20_server_throughput.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e21_hot_path -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e21_hot_path.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e22_replication -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e22_replication.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e23_elastic -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e23_elastic.metrics.jsonl
-LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin e24_transactions -- --metrics
-cargo run -q -p lsm-bench --release --bin metrics_lint results/e24_transactions.metrics.jsonl
+echo "==> bench smoke run with metrics artifact (written and linted under target/smoke/)"
+# the experiment binaries write results/<bin>.metrics.jsonl relative to
+# their working directory; running them from target/smoke/ keeps the
+# committed results/ artifacts untouched by smoke-scale runs
+mkdir -p target/smoke
+(
+cd target/smoke
+for bin in e18_write_stalls e19_parallel_compaction e20_server_throughput e21_hot_path \
+    e22_replication e23_elastic e24_transactions; do
+    LSM_BENCH_N=3000 cargo run -q -p lsm-bench --release --bin "$bin" -- --metrics
+    cargo run -q -p lsm-bench --release --bin metrics_lint "results/$bin.metrics.jsonl"
+done
 # e25 floors its own scale at DEFAULT_N (it asserts adaptive-beats-static,
 # which needs a real tree), so no LSM_BENCH_N shrink here
 cargo run -q -p lsm-bench --release --bin e25_self_tuning -- --metrics
 cargo run -q -p lsm-bench --release --bin metrics_lint results/e25_self_tuning.metrics.jsonl
+)
+
+echo "==> served benchmark builds and passes its tests against the crates"
+cargo test --release --offline --manifest-path kvbench/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "OK: build, tests (both modes), obs + server suites, metrics artifacts, clippy all clean"
+echo "OK: build, tests (both modes), obs + server suites, metrics artifacts, kvbench, clippy all clean"

@@ -303,8 +303,8 @@ fn verify_recovery(fx: &Fixture, shadow: &Shadow, context: &str) {
     }
     // scan == gets: the range router must stitch the recovered shards
     // into one view, hiding any stale donor copy of a moved range
-    let scanned = set
-        .scan(b"key", b"kez", usize::MAX)
+    let mut scanned = Vec::new();
+    set.scan_with(b"key", b"kez", usize::MAX, |k, v| scanned.push((k.to_vec(), v.to_vec())))
         .unwrap_or_else(|e| panic!("{context}: recovered scan failed: {e}"));
     assert_eq!(
         scanned, expected_scan,
