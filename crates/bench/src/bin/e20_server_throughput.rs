@@ -14,7 +14,7 @@
 //! 2. **Depth sweep** (pipeline depth 1 → 4 → 16, one shard): a
 //!    closed-loop window drives the group-commit batcher. The committer
 //!    folds whatever queued while the previous batch was in flight into
-//!    one `Db::write_batch` → one logical WAL append, so
+//!    one `Db::write_batch_mut` → one logical WAL append, so
 //!    `wal_appends / put` falls below 1.0 as soon as the window lets
 //!    writes queue (depth ≥ 4).
 

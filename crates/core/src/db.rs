@@ -46,6 +46,7 @@ use lsm_storage::IoCategory;
 use crate::sstable::{Table, TableBuilder};
 use crate::snapshot::{Snapshot, SnapshotPin};
 use crate::stats::DbStats;
+use crate::txn::TxnPart;
 use crate::version::{ProbeTally, SortedRun, Version};
 use crate::wal::{self, Wal};
 
@@ -57,13 +58,15 @@ fn heat_key(key: &[u8]) -> u64 {
     u64::from_be_bytes(buf)
 }
 
-/// An ordered batch of writes applied by [`DbCore::write_batch`] with a
-/// single WAL append (group commit). Operations apply in insertion
-/// order, so a later op on the same key shadows an earlier one exactly
-/// as two separate writes would.
+/// An ordered batch of writes: the one write-set type every engine write
+/// goes through ([`DbCore::write_batch_mut`], transaction commits,
+/// replica applies, value-log GC). Operations apply in insertion order,
+/// so a later op on the same key shadows an earlier one exactly as two
+/// separate writes would. Each op is held as the WAL record it becomes;
+/// the apply step assigns its sequence number.
 #[derive(Debug, Default)]
 pub struct WriteBatch {
-    ops: Vec<(Vec<u8>, ValueKind, Vec<u8>)>,
+    ops: Vec<(u64, ValueKind, Vec<u8>, Vec<u8>)>,
 }
 
 impl WriteBatch {
@@ -74,12 +77,12 @@ impl WriteBatch {
 
     /// Queues an insert/update.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.ops.push((key, ValueKind::Put, value));
+        self.ops.push((0, ValueKind::Put, key, value));
     }
 
     /// Queues a tombstone.
     pub fn delete(&mut self, key: Vec<u8>) {
-        self.ops.push((key, ValueKind::Delete, Vec::new()));
+        self.ops.push((0, ValueKind::Delete, key, Vec::new()));
     }
 
     /// Operations queued.
@@ -92,12 +95,32 @@ impl WriteBatch {
         self.ops.is_empty()
     }
 
+    /// The queued ops in apply order: `(key, Some(value))` for a put,
+    /// `(key, None)` for a delete.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
+        self.ops.iter().map(|(_, kind, key, value)| {
+            (key.as_slice(), (*kind == ValueKind::Put).then_some(value.as_slice()))
+        })
+    }
+
     /// Empties the batch, keeping its allocation for reuse — pairs with
     /// [`DbCore::write_batch_mut`] so a long-lived committer recycles one
     /// batch instead of allocating a fresh `Vec` per group commit.
     pub fn clear(&mut self) {
         self.ops.clear();
     }
+}
+
+/// How the apply step frames a batch in the WAL. Recovery reads the two
+/// differently, so this is an on-disk format choice, not a tuning knob.
+#[derive(Clone, Copy)]
+enum WalFraming {
+    /// Independent records sharing one append ([`Wal::append_batch`]):
+    /// recovery keeps any intact prefix.
+    Plain,
+    /// One all-or-none group ([`Wal::append_atomic`]): a transaction's
+    /// write-set.
+    Atomic,
 }
 
 struct Inner {
@@ -169,37 +192,23 @@ const TXN_RECENT_PRUNE_LEN: usize = 1024;
 /// `crates/server/tests/transactions.rs` relies on this).
 static TXN_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// One engine's slice of a transaction commit (built by
-/// [`crate::txn::Txn::commit`] and the server's cross-shard commit path).
-pub(crate) struct TxnApplyPart<'a> {
-    /// The engine this part applies to. Parts must target distinct
-    /// engines — the commit takes each engine's write lock once.
-    pub db: &'a DbCore,
-    /// The sub-transaction's snapshot floor on `db`.
-    pub snap_seqno: u64,
-    /// Keys read through the snapshot, validated first-committer-wins.
-    pub read_set: Vec<Vec<u8>>,
-    /// Buffered writes, folded into one atomic WAL group on success.
-    pub write_set: WriteBatch,
-}
-
 /// Validates and applies a transaction atomically across its parts.
 ///
 /// All involved engines' write locks are taken in one stable global
 /// order (by engine address — two concurrent multi-engine commits can
 /// never deadlock), every part's read-set is validated against
 /// `Inner::txn_recent`, and only if **all** parts validate clean are the
-/// write-sets applied — each as one [`Wal::append_atomic`] group, so a
-/// crash can never expose a partial write-set on any single engine.
-/// Memtable-full maintenance is deferred to after the locks drop
-/// ([`DbCore::post_commit_maintenance`]) so a multi-engine commit never
-/// flushes while holding several engines' locks.
+/// write-sets applied — each through the shared apply step as one
+/// [`Wal::append_atomic`] group, so a crash can never expose a partial
+/// write-set on any single engine. The memtable-full tail runs after the
+/// locks drop, so a multi-engine commit never flushes while holding
+/// several engines' locks.
 ///
 /// Returns `Ok(Err(conflict))` when validation fails (the transaction
 /// must abort and retry) and `Ok(Ok(stamp))` with the global commit
 /// stamp on success.
 pub(crate) fn commit_txn_parts(
-    parts: &mut [TxnApplyPart<'_>],
+    parts: &mut [TxnPart],
 ) -> StorageResult<Result<u64, crate::txn::Conflict>> {
     // Backpressure and background-error checks happen before any lock is
     // taken, exactly like the plain write path.
@@ -209,13 +218,11 @@ pub(crate) fn commit_txn_parts(
             p.db.backpressure();
         }
     }
-    let dbs: Vec<&DbCore> = parts.iter().map(|p| p.db).collect();
+    let dbs: Vec<Arc<DbCore>> = parts.iter().map(|p| Arc::clone(&p.db.core)).collect();
     let mut order: Vec<usize> = (0..parts.len()).collect();
-    order.sort_by_key(|&i| dbs[i] as *const DbCore as usize);
+    order.sort_by_key(|&i| Arc::as_ptr(&dbs[i]) as usize);
     debug_assert!(
-        order
-            .windows(2)
-            .all(|w| !std::ptr::eq(dbs[w[0]], dbs[w[1]])),
+        order.windows(2).all(|w| !Arc::ptr_eq(&dbs[w[0]], &dbs[w[1]])),
         "txn parts must target distinct engines"
     );
     let mut guards: Vec<(usize, RwLockWriteGuard<'_, Inner>)> = Vec::with_capacity(order.len());
@@ -225,25 +232,19 @@ pub(crate) fn commit_txn_parts(
     // First-committer-wins validation: every read key must be unchanged
     // since its sub-transaction's snapshot. All guards are held, so a
     // clean validation cannot be invalidated before the apply below.
-    let mut conflict: Option<(usize, crate::txn::Conflict)> = None;
-    'validate: for (i, guard) in &guards {
+    let conflict = guards.iter().find_map(|(i, guard)| {
         let p = &parts[*i];
-        for key in &p.read_set {
-            if let Some(&seqno) = guard.txn_recent.get(key) {
-                if seqno > p.snap_seqno {
-                    conflict = Some((
-                        *i,
-                        crate::txn::Conflict {
-                            key: key.clone(),
-                            snap_seqno: p.snap_seqno,
-                            conflict_seqno: seqno,
-                        },
-                    ));
-                    break 'validate;
-                }
-            }
-        }
-    }
+        p.read_set.iter().find_map(|key| {
+            let seqno = *guard.txn_recent.get(key)?;
+            (seqno > p.snap_seqno).then(|| {
+                (*i, crate::txn::Conflict {
+                    key: key.clone(),
+                    snap_seqno: p.snap_seqno,
+                    conflict_seqno: seqno,
+                })
+            })
+        })
+    });
     if let Some((i, c)) = conflict {
         drop(guards);
         dbs[i].obs.txn_conflicts.inc();
@@ -257,24 +258,23 @@ pub(crate) fn commit_txn_parts(
     // sizes are captured first (apply drains the batch) for the events.
     let counts: Vec<(u64, u64)> = parts
         .iter()
-        .map(|p| (p.write_set.len() as u64, p.read_set.len() as u64))
+        .map(|p| (p.batch.len() as u64, p.read_set.len() as u64))
         .collect();
     for (i, guard) in guards.iter_mut() {
-        let p = &mut parts[*i];
-        dbs[*i].apply_txn_part_locked(guard, &mut p.write_set)?;
+        dbs[*i].apply_locked(guard, &mut parts[*i].batch, WalFraming::Atomic)?;
     }
     let stamp = TXN_STAMP.fetch_add(1, Ordering::AcqRel) + 1;
     drop(guards);
-    for (i, (writes, reads)) in counts.into_iter().enumerate() {
-        dbs[i].obs.txn_commits.inc();
-        dbs[i].obs.event(EventKind::TxnCommit {
+    for (db, (writes, reads)) in dbs.iter().zip(counts) {
+        db.obs.txn_commits.inc();
+        db.obs.event(EventKind::TxnCommit {
             stamp,
             writes,
             reads,
         });
     }
     for db in &dbs {
-        db.post_commit_maintenance()?;
+        db.maintain(db.inner.write())?;
     }
     Ok(Ok(stamp))
 }
@@ -459,7 +459,7 @@ impl Db {
                 .range(Bound::Unbounded, Bound::Unbounded)
                 .collect();
             for e in mem_snapshot {
-                new_wal.append(e.seqno, e.kind, &e.key, &e.value)?;
+                new_wal.append_batch(&[(e.seqno, e.kind, e.key, e.value)])?;
             }
             new_wal.sync()?;
             inner.wal = Some(new_wal);
@@ -501,6 +501,7 @@ impl Db {
             let mut inner = db.inner.write();
             let l0 = DbCore::count_l0_runs(&inner.version);
             db.l0_runs.store(l0, Ordering::Release);
+            db.follow_band(l0);
             db.persist_manifest(&mut inner)?;
         }
         // The replayed WALs are retired only now that their records are
@@ -758,12 +759,35 @@ impl DbCore {
     }
 
     /// Installs `version` as current and mirrors its L0 run count into the
-    /// lock-free backpressure gauge. Every version swap goes through here.
+    /// lock-free backpressure gauge and the backpressure band. Every
+    /// version swap goes through here.
     fn install_version(&self, inner: &mut Inner, version: Version) {
         let l0 = Self::count_l0_runs(&version);
         inner.version = Arc::new(version);
         self.l0_runs.store(l0, Ordering::Release);
         self.obs.l0_runs_gauge.set(l0 as i64);
+        self.follow_band(l0);
+    }
+
+    /// The L0 `(slowdown, stall)` run counts in force: the dynamic
+    /// overlay's, else the boot config's.
+    fn l0_thresholds(&self) -> (usize, usize) {
+        let (slowdown, stall) = self.dynamic.l0_thresholds();
+        (
+            slowdown.unwrap_or(self.cfg.l0_slowdown_runs),
+            stall.unwrap_or(self.cfg.l0_stall_runs),
+        )
+    }
+
+    /// Moves the traced backpressure band to match `l0` runs (`Threaded`
+    /// only — Inline writes never meet backpressure). Called at every
+    /// version install, so a band exit lands in the trace when compaction
+    /// drains L0, not at some later write.
+    fn follow_band(&self, l0: usize) {
+        if self.threaded() {
+            let (slowdown, stall) = self.l0_thresholds();
+            self.obs.backpressure_band(l0, slowdown, stall);
+        }
     }
 
     /// Surfaces the first background-job error on the calling thread.
@@ -783,41 +807,29 @@ impl DbCore {
 
     /// Inserts or updates a key.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> StorageResult<()> {
-        DbStats::bump(&self.stats.puts);
-        self.stats
-            .add(&self.stats.bytes_ingested, (key.len() + value.len()) as u64);
-        self.write(key, ValueKind::Put, value)
+        let mut batch = WriteBatch::new();
+        batch.put(key, value);
+        self.write(|inner| self.apply_locked(inner, &mut batch, WalFraming::Plain))
     }
 
     /// Deletes a key (writes a tombstone).
     pub fn delete(&self, key: Vec<u8>) -> StorageResult<()> {
-        DbStats::bump(&self.stats.deletes);
-        self.stats.add(&self.stats.bytes_ingested, key.len() as u64);
-        self.write(key, ValueKind::Delete, Vec::new())
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.write(|inner| self.apply_locked(inner, &mut batch, WalFraming::Plain))
     }
 
     /// L0 backpressure (`Threaded` only): checked *before* taking `inner`
     /// so delayed writers never hold any engine lock — readers proceed
     /// untouched while a writer sleeps or stalls.
     fn backpressure(&self) {
-        let (dyn_slow, dyn_stall) = self.dynamic.l0_thresholds();
-        let slowdown = dyn_slow.unwrap_or(self.cfg.l0_slowdown_runs);
-        let stall = dyn_stall.unwrap_or(self.cfg.l0_stall_runs);
+        let (slowdown, stall) = self.l0_thresholds();
         let l0 = self.l0_runs.load(Ordering::Acquire);
-        self.obs.backpressure_band(l0, slowdown, stall);
         if l0 >= stall {
             self.device.stats().record_write_stall();
             self.bg.schedule_compact();
             self.bg
                 .wait_progress_until(|| self.l0_runs.load(Ordering::Acquire) < stall);
-            // Compaction drained L0 below the stall line while we slept;
-            // reconcile the band so the StallExit lands in the trace now
-            // rather than on some later write.
-            self.obs.backpressure_band(
-                self.l0_runs.load(Ordering::Acquire),
-                slowdown,
-                stall,
-            );
         } else if l0 >= slowdown {
             self.device.stats().record_write_slowdown();
             self.bg.schedule_compact();
@@ -825,66 +837,105 @@ impl DbCore {
         }
     }
 
-    /// Shared write path for puts and deletes, timed into the put
-    /// histogram (a write's latency includes any backpressure delay and,
-    /// under `Inline`, the flush/compaction cascade it triggers).
-    fn write(&self, key: Vec<u8>, kind: ValueKind, value: Vec<u8>) -> StorageResult<()> {
+    /// The write wrapper for everything but transaction commits: pays
+    /// backpressure, runs `apply` under the write lock, then the
+    /// memtable-full tail. Timed into the put histogram (a write's
+    /// latency includes any backpressure delay and, under `Inline`, the
+    /// flush/compaction cascade it triggers).
+    fn write(&self, apply: impl FnOnce(&mut Inner) -> StorageResult<()>) -> StorageResult<()> {
         let start = self.obs.now_ns();
-        let out = self.write_inner(key, kind, value);
+        let out = self.check_bg_error().and_then(|()| {
+            if self.threaded() {
+                self.backpressure();
+            }
+            let mut inner = self.inner.write();
+            apply(&mut inner)?;
+            self.maintain(inner)
+        });
         self.obs
             .put_ns
             .record(self.obs.now_ns().saturating_sub(start));
         out
     }
 
-    fn write_inner(&self, key: Vec<u8>, kind: ValueKind, value: Vec<u8>) -> StorageResult<()> {
-        if self.threaded() {
-            self.check_bg_error()?;
-            self.backpressure();
+    /// The one apply step every engine write goes through, under the held
+    /// write lock: assigns consecutive seqnos, counts the ops, separates
+    /// large values into the value log, appends the batch to the WAL in
+    /// the requested framing, inserts into the memtable, records the keys
+    /// for OCC validation, and updates the memtable gauge. Drains `batch`
+    /// on success.
+    fn apply_locked(
+        &self,
+        inner: &mut Inner,
+        batch: &mut WriteBatch,
+        framing: WalFraming,
+    ) -> StorageResult<()> {
+        if batch.is_empty() {
+            return Ok(());
         }
-        let mut inner = self.inner.write();
-        let seqno = inner.next_seqno;
-        inner.next_seqno += 1;
-        // key-value separation
-        let stored = match (self.cfg.kv_separation, kind) {
-            (Some(sep), ValueKind::Put) => {
-                if value.len() >= sep.min_value_bytes {
+        for (seqno, kind, key, value) in batch.ops.iter_mut() {
+            *seqno = inner.next_seqno;
+            inner.next_seqno += 1;
+            let ingested = match kind {
+                ValueKind::Put => {
+                    DbStats::bump(&self.stats.puts);
+                    key.len() + value.len()
+                }
+                ValueKind::Delete => {
+                    DbStats::bump(&self.stats.deletes);
+                    key.len()
+                }
+            };
+            self.stats.add(&self.stats.bytes_ingested, ingested as u64);
+            // key-value separation: the stored value becomes a pointer or
+            // an inline-tagged value (a tombstone stays empty)
+            if let (Some(sep), ValueKind::Put) = (self.cfg.kv_separation, *kind) {
+                *value = if value.len() >= sep.min_value_bytes {
                     let vlog = inner.vlog.as_mut().ok_or_else(|| {
                         StorageError::Corruption(
                             "kv separation enabled but no value log is open".into(),
                         )
                     })?;
-                    let ptr = vlog.append(&key, &value)?;
+                    let ptr = vlog.append(key, value)?;
                     DbStats::bump(&self.stats.vlog_values);
                     encode_pointer(ptr)
                 } else {
-                    encode_inline(&value)
-                }
+                    encode_inline(value)
+                };
             }
-            (Some(_), ValueKind::Delete) => Vec::new(),
-            (None, _) => value,
-        };
+        }
         if let Some(wal) = &mut inner.wal {
-            wal.append(seqno, kind, &key, &stored)?;
+            match framing {
+                WalFraming::Plain => wal.append_batch(&batch.ops)?,
+                WalFraming::Atomic => wal.append_atomic(&batch.ops)?,
+            }
             DbStats::bump(&self.stats.wal_appends);
         }
-        inner.mem.insert(&key, seqno, kind, &stored);
-        {
-            let inner = &mut *inner;
+        for (seqno, kind, key, stored) in batch.ops.drain(..) {
+            inner.mem.insert(&key, seqno, kind, &stored);
             Inner::txn_record(&inner.txn_floors, &mut inner.txn_recent, &key, seqno);
         }
         self.obs.memtable_bytes_gauge.set(inner.mem.bytes() as i64);
-        if inner.mem.bytes() >= self.cfg.buffer_bytes {
-            if self.threaded() {
-                return self.freeze_or_wait(inner);
-            }
-            self.flush_active_locked(&mut inner)?;
-            self.maybe_compact_locked(&mut inner)?;
-        }
         Ok(())
     }
 
-    /// Applies a [`WriteBatch`] with **one** WAL append (group commit).
+    /// The memtable-full tail every write ends with, consuming the write
+    /// guard: under `Threaded`, freeze the memtable (or wait for the
+    /// in-flight flush); under `Inline`, flush it and run the compaction
+    /// cascade on this thread.
+    fn maintain(&self, mut inner: RwLockWriteGuard<'_, Inner>) -> StorageResult<()> {
+        if inner.mem.bytes() < self.cfg.buffer_bytes {
+            return Ok(());
+        }
+        if self.threaded() {
+            return self.freeze_or_wait(inner);
+        }
+        self.flush_active_locked(&mut inner)?;
+        self.maybe_compact_locked(&mut inner)
+    }
+
+    /// Applies a [`WriteBatch`] with **one** WAL append (group commit),
+    /// draining it and leaving its capacity intact for reuse.
     ///
     /// All operations receive consecutive sequence numbers under a single
     /// acquisition of the write lock, their WAL frames are concatenated
@@ -892,25 +943,15 @@ impl DbCore {
     /// per batch instead of once per operation. Recovery replays the
     /// batch exactly like the equivalent sequence of single writes. This
     /// is the entry point a serving layer's group-commit batcher uses to
-    /// coalesce concurrent client writes per shard.
-    pub fn write_batch(&self, batch: WriteBatch) -> StorageResult<()> {
-        let mut batch = batch;
-        self.write_batch_mut(&mut batch)
-    }
-
-    /// [`DbCore::write_batch`] for a reusable batch: applies and drains
-    /// the operations, leaving the batch empty with its capacity intact.
-    /// A group-commit loop calls this with one long-lived batch so the
-    /// per-commit `Vec` allocation disappears from the steady state.
+    /// coalesce concurrent client writes per shard; a long-lived batch
+    /// keeps the per-commit `Vec` allocation out of the steady state.
     pub fn write_batch_mut(&self, batch: &mut WriteBatch) -> StorageResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let start = self.obs.now_ns();
-        let out = self.write_batch_inner(batch, None);
-        self.obs
-            .put_ns
-            .record(self.obs.now_ns().saturating_sub(start));
+        self.count_batch(batch);
+        let out = self.write(|inner| self.apply_locked(inner, batch, WalFraming::Plain));
+        batch.clear(); // a failed write leaves nothing queued either
         out
     }
 
@@ -930,12 +971,20 @@ impl DbCore {
             inner.applied_seq = inner.applied_seq.max(seq);
             return Ok(());
         }
-        let start = self.obs.now_ns();
-        let out = self.write_batch_inner(batch, Some(seq));
-        self.obs
-            .put_ns
-            .record(self.obs.now_ns().saturating_sub(start));
+        self.count_batch(batch);
+        let out = self.write(|inner| {
+            self.apply_locked(inner, batch, WalFraming::Plain)?;
+            inner.applied_seq = inner.applied_seq.max(seq);
+            Ok(())
+        });
+        batch.clear();
         out
+    }
+
+    fn count_batch(&self, batch: &WriteBatch) {
+        DbStats::bump(&self.stats.write_batches);
+        self.stats
+            .add(&self.stats.batched_writes, batch.len() as u64);
     }
 
     /// Current replication watermark: the highest replication-log
@@ -947,74 +996,6 @@ impl DbCore {
     /// idempotently as long as delivery stays in sequence order.
     pub fn applied_seq(&self) -> u64 {
         self.inner.read().applied_seq
-    }
-
-    fn write_batch_inner(&self, batch: &mut WriteBatch, replicated_seq: Option<u64>) -> StorageResult<()> {
-        if self.threaded() {
-            self.check_bg_error()?;
-            self.backpressure();
-        }
-        DbStats::bump(&self.stats.write_batches);
-        self.stats
-            .add(&self.stats.batched_writes, batch.ops.len() as u64);
-        let mut inner = self.inner.write();
-        let mut records: Vec<(u64, ValueKind, Vec<u8>, Vec<u8>)> =
-            Vec::with_capacity(batch.ops.len());
-        for (key, kind, value) in batch.ops.drain(..) {
-            let seqno = inner.next_seqno;
-            inner.next_seqno += 1;
-            match kind {
-                ValueKind::Put => {
-                    DbStats::bump(&self.stats.puts);
-                    self.stats
-                        .add(&self.stats.bytes_ingested, (key.len() + value.len()) as u64);
-                }
-                ValueKind::Delete => {
-                    DbStats::bump(&self.stats.deletes);
-                    self.stats.add(&self.stats.bytes_ingested, key.len() as u64);
-                }
-            }
-            let stored = match (self.cfg.kv_separation, kind) {
-                (Some(sep), ValueKind::Put) => {
-                    if value.len() >= sep.min_value_bytes {
-                        let vlog = inner.vlog.as_mut().ok_or_else(|| {
-                            StorageError::Corruption(
-                                "kv separation enabled but no value log is open".into(),
-                            )
-                        })?;
-                        let ptr = vlog.append(&key, &value)?;
-                        DbStats::bump(&self.stats.vlog_values);
-                        encode_pointer(ptr)
-                    } else {
-                        encode_inline(&value)
-                    }
-                }
-                (Some(_), ValueKind::Delete) => Vec::new(),
-                (None, _) => value,
-            };
-            records.push((seqno, kind, key, stored));
-        }
-        if let Some(wal) = &mut inner.wal {
-            wal.append_batch(&records)?;
-            DbStats::bump(&self.stats.wal_appends);
-        }
-        for (seqno, kind, key, stored) in &records {
-            inner.mem.insert(key, *seqno, *kind, stored);
-            let inner = &mut *inner;
-            Inner::txn_record(&inner.txn_floors, &mut inner.txn_recent, key, *seqno);
-        }
-        if let Some(seq) = replicated_seq {
-            inner.applied_seq = inner.applied_seq.max(seq);
-        }
-        self.obs.memtable_bytes_gauge.set(inner.mem.bytes() as i64);
-        if inner.mem.bytes() >= self.cfg.buffer_bytes {
-            if self.threaded() {
-                return self.freeze_or_wait(inner);
-            }
-            self.flush_active_locked(&mut inner)?;
-            self.maybe_compact_locked(&mut inner)?;
-        }
-        Ok(())
     }
 
     /// `Threaded` write path for a full memtable: freeze it into the
@@ -1875,85 +1856,6 @@ impl DbCore {
         }
     }
 
-    /// Re-checks memtable fullness after a transaction commit released
-    /// the write lock (the commit's apply defers flush so a multi-shard
-    /// commit never runs maintenance while holding several engines'
-    /// locks). Mirrors the tail of `write_batch_inner`.
-    pub(crate) fn post_commit_maintenance(&self) -> StorageResult<()> {
-        let mut inner = self.inner.write();
-        if inner.mem.bytes() >= self.cfg.buffer_bytes {
-            if self.threaded() {
-                return self.freeze_or_wait(inner);
-            }
-            self.flush_active_locked(&mut inner)?;
-            self.maybe_compact_locked(&mut inner)?;
-        }
-        Ok(())
-    }
-
-    /// Applies one validated transaction write-set under an already-held
-    /// write guard: the lean core of `write_batch_inner` (seqnos, kv
-    /// separation, WAL, memtable, OCC recording) with two deliberate
-    /// differences — the WAL append is an **atomic group**
-    /// ([`Wal::append_atomic`]: recovery replays all of it or none), and
-    /// memtable-full maintenance is deferred to
-    /// [`DbCore::post_commit_maintenance`].
-    fn apply_txn_part_locked(
-        &self,
-        inner: &mut Inner,
-        batch: &mut WriteBatch,
-    ) -> StorageResult<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut records: Vec<(u64, ValueKind, Vec<u8>, Vec<u8>)> =
-            Vec::with_capacity(batch.ops.len());
-        for (key, kind, value) in batch.ops.drain(..) {
-            let seqno = inner.next_seqno;
-            inner.next_seqno += 1;
-            match kind {
-                ValueKind::Put => {
-                    DbStats::bump(&self.stats.puts);
-                    self.stats
-                        .add(&self.stats.bytes_ingested, (key.len() + value.len()) as u64);
-                }
-                ValueKind::Delete => {
-                    DbStats::bump(&self.stats.deletes);
-                    self.stats.add(&self.stats.bytes_ingested, key.len() as u64);
-                }
-            }
-            let stored = match (self.cfg.kv_separation, kind) {
-                (Some(sep), ValueKind::Put) => {
-                    if value.len() >= sep.min_value_bytes {
-                        let vlog = inner.vlog.as_mut().ok_or_else(|| {
-                            StorageError::Corruption(
-                                "kv separation enabled but no value log is open".into(),
-                            )
-                        })?;
-                        let ptr = vlog.append(&key, &value)?;
-                        DbStats::bump(&self.stats.vlog_values);
-                        encode_pointer(ptr)
-                    } else {
-                        encode_inline(&value)
-                    }
-                }
-                (Some(_), ValueKind::Delete) => Vec::new(),
-                (None, _) => value,
-            };
-            records.push((seqno, kind, key, stored));
-        }
-        if let Some(wal) = &mut inner.wal {
-            wal.append_atomic(&records)?;
-            DbStats::bump(&self.stats.wal_appends);
-        }
-        for (seqno, kind, key, stored) in &records {
-            inner.mem.insert(key, *seqno, *kind, stored);
-            Inner::txn_record(&inner.txn_floors, &mut inner.txn_recent, key, *seqno);
-        }
-        self.obs.memtable_bytes_gauge.set(inner.mem.bytes() as i64);
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
@@ -2526,7 +2428,7 @@ impl DbCore {
     // ------------------------------------------------------------------
 
     /// Garbage-collects the active value log: rewrites live values through
-    /// the normal write path and destroys the old log. Returns
+    /// the shared apply step, syncs, and destroys the old log. Returns
     /// `(live_rewritten, dead_dropped)`.
     ///
     /// Refuses to run while snapshots are outstanding: their pointers may
@@ -2549,25 +2451,31 @@ impl DbCore {
             old
         };
         let Some(old) = old else { return Ok((0, 0)) };
-        let records = old.scan_all()?;
+        let mut batch = WriteBatch::new();
         let mut live = 0u64;
         let mut dead = 0u64;
-        for (key, value, ptr) in records {
-            // the record is live iff the engine's current raw value still
-            // points at it
-            let is_live = {
-                let inner = self.inner.read();
-                self.raw_stored_value(&inner, &key)?
-                    .and_then(|raw| decode_value(&raw).and_then(|d| d.err()))
-                    .is_some_and(|p| p == ptr)
-            };
-            if is_live {
-                self.put(key, value)?;
-                live += 1;
-            } else {
+        for (key, value, ptr) in old.scan_all()? {
+            // The record is live iff the engine's current raw value still
+            // points at it. The check and the rewrite share one hold of
+            // the write lock, so a put racing the GC is never overwritten
+            // by the stale value.
+            let mut inner = self.inner.write();
+            let is_live = self
+                .raw_stored_value(&inner, &key)?
+                .and_then(|raw| decode_value(&raw).and_then(|d| d.err()))
+                .is_some_and(|p| p == ptr);
+            if !is_live {
                 dead += 1;
+                continue;
             }
+            batch.put(key, value);
+            self.apply_locked(&mut inner, &mut batch, WalFraming::Plain)?;
+            self.maintain(inner)?;
+            live += 1;
         }
+        // the rewritten values and the WAL records pointing at them must
+        // be durable before the old log, their only other copy, goes
+        self.sync()?;
         old.destroy()?;
         Ok((live, dead))
     }
@@ -2713,7 +2621,8 @@ mod tests {
         batch.delete(b"bk003".to_vec());
         batch.put(b"bk004".to_vec(), b"rewritten".to_vec());
         assert_eq!(batch.len(), 22);
-        db.write_batch(batch).unwrap();
+        db.write_batch_mut(&mut batch).unwrap();
+        assert!(batch.is_empty(), "applying drains the batch");
         let s = db.stats().snapshot();
         assert_eq!(s.wal_appends, 1, "a batch must cost one WAL append");
         assert_eq!(s.write_batches, 1);
@@ -2725,7 +2634,7 @@ mod tests {
         assert_eq!(db.get(b"bk004").unwrap(), Some(b"rewritten".to_vec()));
         assert_eq!(db.get(b"bk019").unwrap(), Some(b"bv19".to_vec()));
         // an empty batch is a no-op
-        db.write_batch(WriteBatch::new()).unwrap();
+        db.write_batch_mut(&mut batch).unwrap();
         assert_eq!(db.stats().snapshot().write_batches, 1);
     }
 
@@ -2743,7 +2652,7 @@ mod tests {
             for i in 0..50u32 {
                 batch.put(format!("ck{i:03}").into_bytes(), format!("cv{i}").into_bytes());
             }
-            db.write_batch(batch).unwrap();
+            db.write_batch_mut(&mut batch).unwrap();
             db.sync().unwrap();
             // drop without flush: recovery must come from the batched WAL
         }
@@ -2799,7 +2708,7 @@ mod tests {
                 let id = b * 64 + i;
                 batch.put(format!("fk{id:05}").into_bytes(), vec![b as u8; 32]);
             }
-            db.write_batch(batch).unwrap();
+            db.write_batch_mut(&mut batch).unwrap();
         }
         db.wait_background_idle();
         assert!(db.stats().snapshot().flushes > 0, "batches must rotate the memtable");

@@ -95,9 +95,9 @@ counters! {
     /// Logical WAL appends issued (one per single write, one per
     /// group-commit batch — the denominator of the batching win).
     wal_appends,
-    /// `write_batch` calls accepted.
+    /// `write_batch_mut`/`write_batch_replicated` calls accepted.
     write_batches,
-    /// Individual operations carried inside `write_batch` calls.
+    /// Individual operations carried inside those calls.
     batched_writes,
 }
 

@@ -44,7 +44,7 @@ use std::fmt;
 
 use lsm_storage::{StorageError, StorageResult};
 
-use crate::db::{commit_txn_parts, Db, TxnApplyPart, WriteBatch};
+use crate::db::{commit_txn_parts, Db, WriteBatch};
 use crate::snapshot::Snapshot;
 
 /// First-committer-wins validation failure: a key in the transaction's
@@ -100,8 +100,8 @@ pub struct Txn {
     /// Buffered writes: `Some(value)` = put, `None` = delete. A `BTreeMap`
     /// so the commit batch applies in deterministic key order.
     writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Set once the floor has been released (commit or explicit abort),
-    /// so `Drop` doesn't release it twice.
+    /// Set once a [`TxnPart`] owns the floor release, so `Drop` doesn't
+    /// release it twice.
     ended: bool,
 }
 
@@ -138,32 +138,12 @@ impl Txn {
         self.writes.insert(key, None);
     }
 
-    /// Validates the read-set and atomically applies the write-set.
-    /// Returns the global commit stamp (the serialization point) on
-    /// success. On [`TxnError::Conflict`] the engine is untouched.
-    pub fn commit(mut self) -> Result<u64, TxnError> {
-        let mut batch = WriteBatch::new();
-        for (key, value) in std::mem::take(&mut self.writes) {
-            match value {
-                Some(v) => batch.put(key, v),
-                None => batch.delete(key),
-            }
-        }
-        let read_set: Vec<Vec<u8>> = std::mem::take(&mut self.read_set).into_iter().collect();
-        let mut parts = [TxnApplyPart {
-            db: &self.db,
-            snap_seqno: self.snap_seqno,
-            read_set,
-            write_set: batch,
-        }];
-        let out = commit_txn_parts(&mut parts);
-        drop(parts);
-        self.release();
-        match out {
-            Ok(Ok(stamp)) => Ok(stamp),
-            Ok(Err(conflict)) => Err(TxnError::Conflict(conflict)),
-            Err(e) => Err(TxnError::Storage(e)),
-        }
+    /// Validates the read-set and atomically applies the write-set: a
+    /// one-part [`commit_parts`]. Returns the global commit stamp (the
+    /// serialization point) on success. On [`TxnError::Conflict`] the
+    /// engine is untouched.
+    pub fn commit(self) -> Result<u64, TxnError> {
+        commit_parts(vec![self.into_part()])
     }
 
     /// Discards the transaction. Equivalent to dropping the handle, but
@@ -171,18 +151,13 @@ impl Txn {
     pub fn abort(self) {
         // Drop does the floor release and snapshot unpin.
     }
-
-    fn release(&mut self) {
-        if !self.ended {
-            self.ended = true;
-            self.db.txn_end(self.snap_seqno);
-        }
-    }
 }
 
 impl Drop for Txn {
     fn drop(&mut self) {
-        self.release();
+        if !self.ended {
+            self.db.txn_end(self.snap_seqno);
+        }
     }
 }
 
@@ -195,29 +170,37 @@ impl Db {
     }
 }
 
-/// A cross-engine transaction part assembled by a serving layer: the
-/// read-set and write-set a [`Txn`]-like handle accumulated against one
-/// engine, to be committed atomically with sibling parts via
-/// [`commit_parts`].
+/// One engine's slice of a transaction commit: the read-set a [`Txn`]
+/// accumulated against that engine and its write-set as the
+/// [`WriteBatch`] the engine applies, committed atomically with sibling
+/// parts via [`commit_parts`]. Dropping a part releases its snapshot
+/// floor.
 pub struct TxnPart {
-    db: Db,
-    snap_seqno: u64,
-    read_set: Vec<Vec<u8>>,
-    writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    pub(crate) db: Db,
+    pub(crate) snap_seqno: u64,
+    pub(crate) read_set: HashSet<Vec<u8>>,
+    pub(crate) batch: WriteBatch,
 }
 
 impl Txn {
-    /// Dismantles the handle into a [`TxnPart`] for a multi-engine
-    /// commit, releasing the snapshot pin but **keeping the floor
-    /// registered** until [`commit_parts`] (or [`TxnPart::release`])
-    /// runs — the conflict window must stay open through the commit.
+    /// Dismantles the handle into a [`TxnPart`] for a commit, releasing
+    /// the snapshot pin but **keeping the floor registered** until the
+    /// part drops — the conflict window must stay open through the
+    /// commit.
     pub fn into_part(mut self) -> TxnPart {
         self.ended = true; // the part now owns the floor release
+        let mut batch = WriteBatch::new();
+        for (key, value) in std::mem::take(&mut self.writes) {
+            match value {
+                Some(v) => batch.put(key, v),
+                None => batch.delete(key),
+            }
+        }
         TxnPart {
             db: self.db.clone(),
             snap_seqno: self.snap_seqno,
-            read_set: std::mem::take(&mut self.read_set).into_iter().collect(),
-            writes: std::mem::take(&mut self.writes).into_iter().collect(),
+            read_set: std::mem::take(&mut self.read_set),
+            batch,
         }
     }
 }
@@ -228,16 +211,10 @@ impl TxnPart {
         &self.db
     }
 
-    /// The buffered write-set in key order (`Some` = put, `None` =
-    /// delete) — lets a serving layer tee or replicate exactly what a
-    /// commit will apply.
-    pub fn writes(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
-        &self.writes
-    }
-
-    /// Releases the part's snapshot floor without committing (abort).
-    pub fn release(self) {
-        // Drop runs the release.
+    /// The write-set in key order — lets a serving layer tee or
+    /// replicate exactly what a commit will apply.
+    pub fn batch(&self) -> &WriteBatch {
+        &self.batch
     }
 }
 
@@ -257,27 +234,8 @@ impl Drop for TxnPart {
 /// slice is individually all-or-nothing in its own WAL, but a crash
 /// between two engines' syncs can persist one slice without the other
 /// (see DESIGN.md "Transactions" for the full contract).
-pub fn commit_parts(parts: Vec<TxnPart>) -> Result<u64, TxnError> {
-    let mut apply: Vec<TxnApplyPart<'_>> = parts
-        .iter()
-        .map(|p| {
-            let mut batch = WriteBatch::new();
-            for (key, value) in &p.writes {
-                match value {
-                    Some(v) => batch.put(key.clone(), v.clone()),
-                    None => batch.delete(key.clone()),
-                }
-            }
-            TxnApplyPart {
-                db: &p.db,
-                snap_seqno: p.snap_seqno,
-                read_set: p.read_set.clone(),
-                write_set: batch,
-            }
-        })
-        .collect();
-    let out = commit_txn_parts(&mut apply);
-    drop(apply);
+pub fn commit_parts(mut parts: Vec<TxnPart>) -> Result<u64, TxnError> {
+    let out = commit_txn_parts(&mut parts);
     drop(parts); // floors release after validation+apply completed
     match out {
         Ok(Ok(stamp)) => Ok(stamp),

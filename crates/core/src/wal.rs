@@ -72,27 +72,13 @@ impl Wal {
         self.records
     }
 
-    /// Appends one record. Full blocks reach the device immediately;
-    /// the partial tail follows at the next block boundary or [`Wal::sync`].
-    pub fn append(
-        &mut self,
-        seqno: u64,
-        kind: ValueKind,
-        key: &[u8],
-        value: &[u8],
-    ) -> StorageResult<()> {
-        self.scratch.clear();
-        encode_frame(&mut self.scratch, seqno, kind, key, value);
-        self.file.append(&self.scratch)?;
-        self.records += 1;
-        Ok(())
-    }
-
     /// Appends a group of records as **one** file append (group commit):
     /// the frames are concatenated into a single buffer, so the whole
     /// batch costs one pass through the file's block pipeline instead of
     /// one per record. Recovery sees the same frame stream as if each
-    /// record had been appended individually.
+    /// record had been appended in its own call. Full blocks reach the
+    /// device immediately; the partial tail follows at the next block
+    /// boundary or [`Wal::sync`].
     pub fn append_batch(&mut self, records: &[(u64, ValueKind, Vec<u8>, Vec<u8>)]) -> StorageResult<()> {
         if records.is_empty() {
             return Ok(());
@@ -339,12 +325,23 @@ mod tests {
         Arc::new(MemDevice::new(512, DeviceProfile::free()))
     }
 
+    /// One record per `append_batch` call.
+    fn append_one(
+        wal: &mut Wal,
+        seqno: u64,
+        kind: ValueKind,
+        key: &[u8],
+        value: &[u8],
+    ) -> StorageResult<()> {
+        wal.append_batch(&[(seqno, kind, key.to_vec(), value.to_vec())])
+    }
+
     #[test]
     fn roundtrip_after_sync() {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
         for i in 0..100u64 {
-            wal.append(
+            append_one(&mut wal, 
                 i,
                 if i % 5 == 0 { ValueKind::Delete } else { ValueKind::Put },
                 format!("key{i}").as_bytes(),
@@ -367,7 +364,7 @@ mod tests {
         let mut wal = Wal::create(dev.clone()).unwrap();
         // each record ~30 bytes; 512-byte blocks hold ~17
         for i in 0..40u64 {
-            wal.append(i, ValueKind::Put, format!("key{i:04}").as_bytes(), b"0123456789")
+            append_one(&mut wal, i, ValueKind::Put, format!("key{i:04}").as_bytes(), b"0123456789")
                 .unwrap();
         }
         // no sync: only whole blocks persisted
@@ -395,7 +392,7 @@ mod tests {
         let dev_dyn: Arc<dyn StorageDevice> = dev.clone();
         let mut wal = Wal::create(dev_dyn.clone()).unwrap();
         for i in 0..30u64 {
-            wal.append(i, ValueKind::Put, b"key", b"value-payload").unwrap();
+            append_one(&mut wal, i, ValueKind::Put, b"key", b"value-payload").unwrap();
         }
         wal.sync().unwrap();
         let id = wal.id();
@@ -419,7 +416,7 @@ mod tests {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
         for i in 0..40u64 {
-            wal.append(i, ValueKind::Put, format!("key{i:04}").as_bytes(), b"0123456789")
+            append_one(&mut wal, i, ValueKind::Put, format!("key{i:04}").as_bytes(), b"0123456789")
                 .unwrap();
         }
         // no sync: the tail record is torn at the last persisted block
@@ -437,7 +434,7 @@ mod tests {
         let dev: Arc<MemDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
         let dev_dyn: Arc<dyn StorageDevice> = dev.clone();
         let mut wal = Wal::create(dev_dyn.clone()).unwrap();
-        wal.append(1, ValueKind::Put, b"key", b"a-reasonably-long-value").unwrap();
+        append_one(&mut wal, 1, ValueKind::Put, b"key", b"a-reasonably-long-value").unwrap();
         wal.sync().unwrap();
         let id = wal.id();
         let mut blocks = dev.read(id, 0, 1, IoCategory::Wal).unwrap();
@@ -455,11 +452,11 @@ mod tests {
     fn records_after_sync_padding_are_recovered() {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
-        wal.append(1, ValueKind::Put, b"before", b"v1").unwrap();
+        append_one(&mut wal, 1, ValueKind::Put, b"before", b"v1").unwrap();
         wal.sync().unwrap(); // pads the block
-        wal.append(2, ValueKind::Put, b"after", b"v2").unwrap();
+        append_one(&mut wal, 2, ValueKind::Put, b"after", b"v2").unwrap();
         wal.sync().unwrap();
-        wal.append(3, ValueKind::Put, b"third", b"v3").unwrap();
+        append_one(&mut wal, 3, ValueKind::Put, b"third", b"v3").unwrap();
         wal.sync().unwrap();
         let records = recover(dev, wal.id()).unwrap();
         assert_eq!(records.len(), 3, "records past sync padding lost");
@@ -480,12 +477,20 @@ mod tests {
             })
             .collect();
         for (s, k, key, value) in &records {
-            w1.append(*s, *k, key, value).unwrap();
+            append_one(&mut w1, *s, *k, key, value).unwrap();
         }
         w1.sync().unwrap();
         w2.append_batch(&records).unwrap();
         w2.sync().unwrap();
         assert_eq!(w2.records(), 50);
+        let bytes = |dev: &Arc<dyn StorageDevice>, id: FileId| {
+            dev.read(id, 0, dev.len_blocks(id).unwrap(), IoCategory::Wal).unwrap()
+        };
+        assert_eq!(
+            bytes(&singles, w1.id()),
+            bytes(&batched, w2.id()),
+            "a batch must encode the same bytes as its records appended one by one"
+        );
         let r1 = recover(singles, w1.id()).unwrap();
         let r2 = recover(batched.clone(), w2.id()).unwrap();
         assert_eq!(r1, r2, "batch framing must replay like per-record framing");
@@ -501,12 +506,12 @@ mod tests {
     fn atomic_group_roundtrips_and_interleaves_with_plain_records() {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
-        wal.append(1, ValueKind::Put, b"before", b"v1").unwrap();
+        append_one(&mut wal, 1, ValueKind::Put, b"before", b"v1").unwrap();
         let group: Vec<(u64, ValueKind, Vec<u8>, Vec<u8>)> = (2..7u64)
             .map(|i| (i, ValueKind::Put, format!("txn{i}").into_bytes(), b"tv".to_vec()))
             .collect();
         wal.append_atomic(&group).unwrap();
-        wal.append(7, ValueKind::Delete, b"after", b"").unwrap();
+        append_one(&mut wal, 7, ValueKind::Delete, b"after", b"").unwrap();
         wal.sync().unwrap();
         assert_eq!(wal.records(), 7);
         let records = recover(dev, wal.id()).unwrap();
@@ -520,7 +525,7 @@ mod tests {
     fn torn_atomic_group_drops_wholesale() {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
-        wal.append(1, ValueKind::Put, b"synced", b"v1").unwrap();
+        append_one(&mut wal, 1, ValueKind::Put, b"synced", b"v1").unwrap();
         wal.sync().unwrap();
         // a group spanning several 512-byte blocks, never synced: the
         // full blocks persist but the tail is lost, so the whole group
@@ -565,8 +570,8 @@ mod tests {
     fn binary_keys_and_empty_values() {
         let dev = device();
         let mut wal = Wal::create(dev.clone()).unwrap();
-        wal.append(1, ValueKind::Put, &[0, 255, 0], &[]).unwrap();
-        wal.append(2, ValueKind::Delete, &[RECORD_MARKER; 5], &[]).unwrap();
+        append_one(&mut wal, 1, ValueKind::Put, &[0, 255, 0], &[]).unwrap();
+        append_one(&mut wal, 2, ValueKind::Delete, &[RECORD_MARKER; 5], &[]).unwrap();
         wal.sync().unwrap();
         let records = recover(dev, wal.id()).unwrap();
         assert_eq!(records.len(), 2);

@@ -637,3 +637,185 @@ fn empty_db_operations() {
     db.delete(b"ghost".to_vec()).unwrap();
     assert_eq!(db.get(b"ghost").unwrap(), None);
 }
+
+/// Every write entry point applies through the same engine step, so the
+/// same op sequence must end in the same state through each of them:
+/// the same reads as a `BTreeMap` oracle, the same ingest counters, and
+/// the same state recovered after a drop and reopen on the same device.
+#[test]
+fn write_entry_points_agree() {
+    use lsm_core::{commit_parts, WriteBatch};
+    use std::collections::BTreeMap;
+
+    type Chunk = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+    // Chunks of 1..=8 ops on distinct keys: a transaction buffers one
+    // write per key, so distinct keys keep every entry point's op count
+    // equal. Values straddle the 48-byte separation threshold.
+    let mut rng = 0x5EED_0013u64;
+    let mut next = move || {
+        rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut chunks: Vec<Chunk> = Vec::new();
+    for c in 0..150u64 {
+        let len = 1 + (next() % 8) as usize;
+        let mut chunk: Chunk = Vec::new();
+        while chunk.len() < len {
+            let k = format!("ep{:03}", next() % 90).into_bytes();
+            if chunk.iter().any(|(ck, _)| *ck == k) {
+                continue;
+            }
+            let v = (next() % 5 != 0).then(|| {
+                let mut v = format!("c{c}-").into_bytes();
+                v.resize(8 + (next() % 112) as usize, b'a' + (c % 26) as u8);
+                v
+            });
+            chunk.push((k, v));
+        }
+        chunks.push(chunk);
+    }
+    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for (k, v) in chunks.iter().flatten() {
+        match v {
+            Some(v) => oracle.insert(k.clone(), v.clone()),
+            None => oracle.remove(k),
+        };
+    }
+
+    let check_reads = |db: &Db, context: &str| {
+        for i in 0..95u32 {
+            let k = format!("ep{i:03}").into_bytes();
+            assert_eq!(db.get(&k).unwrap(), oracle.get(&k).cloned(), "{context}: key {i}");
+        }
+        let scanned = db.scan(b"ep".to_vec()..b"eq".to_vec(), usize::MAX).unwrap();
+        let expect: Vec<(Vec<u8>, Vec<u8>)> =
+            oracle.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(scanned, expect, "{context}: scan");
+    };
+
+    for kv_separation in [None, Some(KvSeparation { min_value_bytes: 48 })] {
+        let cfg = LsmConfig {
+            kv_separation,
+            ..LsmConfig::small_for_tests()
+        };
+        let mut counters = Vec::new();
+        for entry in ["put/delete", "write_batch_mut", "write_batch_replicated", "Txn::commit", "commit_parts"] {
+            let context = format!("{entry}, kv_separation={kv_separation:?}");
+            let device: Arc<dyn StorageDevice> =
+                Arc::new(MemDevice::new(512, DeviceProfile::free()));
+            let db = Db::open(Arc::clone(&device), cfg.clone()).unwrap();
+            let mut batch = WriteBatch::new();
+            for (seq, chunk) in chunks.iter().enumerate() {
+                let chunk = chunk.clone();
+                match entry {
+                    "put/delete" => {
+                        for (k, v) in chunk {
+                            match v {
+                                Some(v) => db.put(k, v).unwrap(),
+                                None => db.delete(k).unwrap(),
+                            }
+                        }
+                    }
+                    "write_batch_mut" | "write_batch_replicated" => {
+                        for (k, v) in chunk {
+                            match v {
+                                Some(v) => batch.put(k, v),
+                                None => batch.delete(k),
+                            }
+                        }
+                        if entry == "write_batch_mut" {
+                            db.write_batch_mut(&mut batch).unwrap();
+                        } else {
+                            db.write_batch_replicated(&mut batch, seq as u64 + 1).unwrap();
+                        }
+                        assert!(batch.is_empty(), "{context}: batch not drained");
+                    }
+                    _ => {
+                        let mut txn = db.begin_txn().unwrap();
+                        for (k, v) in chunk {
+                            match v {
+                                Some(v) => txn.put(k, v),
+                                None => txn.delete(k),
+                            }
+                        }
+                        let stamp = if entry == "Txn::commit" {
+                            txn.commit()
+                        } else {
+                            commit_parts(vec![txn.into_part()])
+                        };
+                        assert!(stamp.unwrap() > 0, "{context}: commit drew no stamp");
+                    }
+                }
+            }
+            db.wait_background_idle();
+            check_reads(&db, &context);
+            if entry == "write_batch_replicated" {
+                assert_eq!(db.applied_seq(), chunks.len() as u64, "{context}: watermark");
+            }
+            let s = db.stats().snapshot();
+            assert!(s.flushes > 0, "{context}: the ops must cross a memtable flush");
+            counters.push((entry, s.puts, s.deletes, s.bytes_ingested, s.vlog_values));
+            drop(db);
+            let db = Db::open(Arc::clone(&device), cfg.clone()).unwrap();
+            check_reads(&db, &format!("{context}, reopened"));
+        }
+        let (puts, deletes, bytes, vlog) = chunks.iter().flatten().fold(
+            (0u64, 0u64, 0u64, 0u64),
+            |(p, d, b, l), (k, v)| match v {
+                Some(v) => (
+                    p + 1,
+                    d,
+                    b + (k.len() + v.len()) as u64,
+                    l + u64::from(kv_separation.is_some_and(|s| v.len() >= s.min_value_bytes)),
+                ),
+                None => (p, d + 1, b + k.len() as u64, l),
+            },
+        );
+        for (entry, p, d, b, l) in counters {
+            assert_eq!(
+                (p, d, b, l),
+                (puts, deletes, bytes, vlog),
+                "{entry}, kv_separation={kv_separation:?}: puts/deletes/bytes_ingested/vlog_values"
+            );
+        }
+    }
+}
+
+/// Value-log GC checks a record's liveness and rewrites it under one
+/// hold of the write lock, so a put racing the GC is never overwritten
+/// by the stale value the GC read from the old log.
+#[test]
+fn value_log_gc_never_overwrites_a_racing_put() {
+    let cfg = LsmConfig {
+        kv_separation: Some(KvSeparation { min_value_bytes: 48 }),
+        buffer_bytes: 64 << 10,
+        ..LsmConfig::small_for_tests()
+    };
+    let db = Db::open_in_memory(cfg).unwrap();
+    let val = |i: u32, gen: u32| format!("gen{gen:03}-{i:03}-{}", "v".repeat(60)).into_bytes();
+    for round in 0..40u32 {
+        for i in 0..64u32 {
+            db.put(key(i), val(i, 2 * round)).unwrap();
+        }
+        let writer = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                for i in 0..64u32 {
+                    db.put(key(i), val(i, 2 * round + 1)).unwrap();
+                }
+            })
+        };
+        db.gc_value_log().unwrap();
+        writer.join().unwrap();
+        for i in 0..64u32 {
+            assert_eq!(
+                db.get(&key(i)).unwrap(),
+                Some(val(i, 2 * round + 1)),
+                "round {round}: key {i} lost the put that raced the GC"
+            );
+        }
+    }
+}

@@ -5,7 +5,7 @@
 //! return immediately (the response is sent from the completion
 //! callback). The committer takes one request, then drains whatever else
 //! has queued up to `max_batch`, folds them into a single
-//! [`WriteBatch`], and commits it through `Db::write_batch` — one WAL
+//! [`WriteBatch`], and commits it through `Db::write_batch_mut` — one WAL
 //! append — followed by one `Db::sync` when durability-per-ack is
 //! configured. The batch size is therefore *adaptive*: an idle shard
 //! commits singles with no added latency, while a busy shard's queue
@@ -71,7 +71,7 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    fn key(&self) -> &[u8] {
+    pub(crate) fn key(&self) -> &[u8] {
         match self {
             WriteOp::Put { key, .. } | WriteOp::Delete { key } => key,
         }
@@ -159,16 +159,18 @@ fn duplicate(out: &WriteOutcome) -> WriteOutcome {
     }
 }
 
-fn shutdown_outcome() -> WriteOutcome {
-    WriteOutcome::Err(StorageError::Io(std::io::Error::other(
-        "write batcher is shut down",
-    )))
-}
-
-fn txn_shutdown_outcome() -> TxnOutcome {
-    TxnOutcome::Err(StorageError::Io(std::io::Error::other(
-        "write batcher is shut down",
-    )))
+impl Msg {
+    /// Fails a message the committer will never see: callbacks get a
+    /// shutdown error (a txn's parts drop, releasing their floors), and a
+    /// barrier's ack sender drops.
+    fn reject(self) {
+        let shut = || StorageError::Io(std::io::Error::other("write batcher is shut down"));
+        match self {
+            Msg::Req(r) => (r.done)(WriteOutcome::Err(shut())),
+            Msg::Txn(t) => (t.done)(TxnOutcome::Err(shut())),
+            Msg::Barrier(_) => {}
+        }
+    }
 }
 
 /// A shard's group-commit thread. Dropping (or [`shutdown`]) closes the
@@ -196,12 +198,15 @@ impl GroupCommitter {
     ) -> Self {
         let (tx, rx) = channel::<Msg>();
         let tap: Arc<Mutex<Option<MigrationTap>>> = Arc::default();
-        let tap2 = Arc::clone(&tap);
+        let shipper = Shipper {
+            sync_each_batch,
+            metrics,
+            replicator,
+            tap: Arc::clone(&tap),
+        };
         let handle = std::thread::Builder::new()
             .name("lsm-server-committer".into())
-            .spawn(move || {
-                committer_loop(db, rx, max_batch.max(1), sync_each_batch, metrics, replicator, tap2)
-            })
+            .spawn(move || committer_loop(db, rx, max_batch.max(1), shipper))
             .expect("spawn committer thread");
         GroupCommitter {
             tx: Mutex::new(Some(tx)),
@@ -213,42 +218,14 @@ impl GroupCommitter {
     /// Queues a write. Returns `false` (and fails the callback) if the
     /// committer has already shut down.
     pub fn submit(&self, req: WriteReq) -> bool {
-        match &*self.tx.lock().unwrap() {
-            Some(tx) => match tx.send(Msg::Req(req)) {
-                Ok(()) => true,
-                Err(e) => {
-                    if let Msg::Req(r) = e.0 {
-                        (r.done)(shutdown_outcome());
-                    }
-                    false
-                }
-            },
-            None => {
-                (req.done)(shutdown_outcome());
-                false
-            }
-        }
+        self.send(Msg::Req(req))
     }
 
     /// Queues a transaction commit. Returns `false` (and fails the
     /// callback, releasing the parts' snapshot floors) if the committer
     /// has already shut down.
     pub fn submit_txn(&self, req: TxnCommitReq) -> bool {
-        match &*self.tx.lock().unwrap() {
-            Some(tx) => match tx.send(Msg::Txn(req)) {
-                Ok(()) => true,
-                Err(e) => {
-                    if let Msg::Txn(t) = e.0 {
-                        (t.done)(txn_shutdown_outcome());
-                    }
-                    false
-                }
-            },
-            None => {
-                (req.done)(txn_shutdown_outcome());
-                false
-            }
-        }
+        self.send(Msg::Txn(req))
     }
 
     /// Blocks until everything submitted before this call has committed,
@@ -256,11 +233,19 @@ impl GroupCommitter {
     /// down (everything queued still drained — to failure callbacks).
     pub fn barrier(&self) -> bool {
         let (ack_tx, ack_rx) = channel();
-        let sent = match &*self.tx.lock().unwrap() {
-            Some(tx) => tx.send(Msg::Barrier(ack_tx)).is_ok(),
-            None => false,
+        self.send(Msg::Barrier(ack_tx)) && ack_rx.recv().is_ok()
+    }
+
+    fn send(&self, msg: Msg) -> bool {
+        let rejected = match &*self.tx.lock().unwrap() {
+            Some(tx) => match tx.send(msg) {
+                Ok(()) => return true,
+                Err(e) => e.0,
+            },
+            None => msg,
         };
-        sent && ack_rx.recv().is_ok()
+        rejected.reject();
+        false
     }
 
     /// Installs a [`MigrationTap`]: every batch committed from now on
@@ -292,21 +277,114 @@ impl Drop for GroupCommitter {
     }
 }
 
-fn committer_loop(
-    db: Db,
-    rx: Receiver<Msg>,
-    max_batch: usize,
+/// The replication and migration-tap ops regions of one commit, encoded
+/// from its write-sets before the engine applies (and drains) them.
+struct Regions<'t> {
+    /// Every op, when replicating.
+    repl: Option<ReplOpsBuilder>,
+    /// The ops inside the installed tap's range.
+    tap: Option<(&'t MigrationTap, ReplOpsBuilder)>,
+}
+
+impl Regions<'_> {
+    fn encode(&mut self, batch: &WriteBatch) {
+        let push = |b: &mut ReplOpsBuilder, key: &[u8], value: Option<&[u8]>| match value {
+            Some(v) => b.put(key, v),
+            None => b.delete(key),
+        };
+        for (key, value) in batch.iter() {
+            if let Some(b) = &mut self.repl {
+                push(b, key, value);
+            }
+            if let Some((t, b)) = &mut self.tap {
+                if t.covers(key) {
+                    push(b, key, value);
+                }
+            }
+        }
+    }
+}
+
+/// What a committer ships a commit with: the sync policy, the migration
+/// tap, and the replicator.
+struct Shipper {
     sync_each_batch: bool,
     metrics: Arc<ServerMetrics>,
     replicator: Option<Arc<Replicator>>,
     tap: Arc<Mutex<Option<MigrationTap>>>,
-) {
+}
+
+impl Shipper {
+    /// Commit-then-ship, the one sequence group-commit batches and
+    /// transaction commits both follow: `commit` encodes its write-sets
+    /// into the regions and applies them; then every engine in `dbs` is
+    /// synced per the policy, the in-range ops are teed to the migration
+    /// tap, and the ops are published to the replicator and waited on for
+    /// the quorum. A failed commit or sync ships nothing. Returns
+    /// `commit`'s value and whether the quorum acked in time (always
+    /// `true` without a replicator).
+    fn commit_then_ship<T, E: From<StorageError>>(
+        &self,
+        dbs: &[Db],
+        commit: impl FnOnce(&mut Regions<'_>) -> Result<T, E>,
+    ) -> Result<(T, bool), E> {
+        // the tap guard is held across encode + commit + sync + tee, so
+        // install_tap has a clean cut: commits fully before it are
+        // visible to a subsequent snapshot, commits after are tapped
+        let tap_guard = self.tap.lock().unwrap();
+        let mut regions = Regions {
+            repl: self.replicator.as_ref().map(|_| ReplOpsBuilder::new()),
+            tap: tap_guard.as_ref().map(|t| (t, ReplOpsBuilder::new())),
+        };
+        let out = commit(&mut regions)?;
+        if self.sync_each_batch {
+            // the ack promises durability: pad the WAL tail once per
+            // commit, not once per operation — the group-commit win
+            for db in dbs {
+                db.sync()?;
+            }
+        }
+        // tee to the migration tap only what is committed and synced
+        // locally: the tap's receiver treats every region as durable on
+        // the donor
+        let Regions { repl, tap } = regions;
+        if let Some((t, ops)) = tap {
+            if ops.count() > 0 {
+                let _ = t.tx.send(ops.finish());
+            }
+        }
+        drop(tap_guard);
+        let acked = match (&self.replicator, repl) {
+            // publish only what committed locally: a commit that failed
+            // here must never reach a replica, or a failover could
+            // resurrect a write the client saw fail
+            (Some(rep), Some(ops)) if ops.count() > 0 => {
+                let t0 = self.metrics.now_ns();
+                let seq = rep.publish(ops.finish());
+                let acked = rep.wait_quorum(seq);
+                if acked {
+                    self.metrics
+                        .repl_ack_ns
+                        .record(self.metrics.now_ns().saturating_sub(t0));
+                } else {
+                    self.metrics.repl_lag_timeouts.inc();
+                }
+                acked
+            }
+            _ => true,
+        };
+        Ok((out, acked))
+    }
+}
+
+fn committer_loop(db: Db, rx: Receiver<Msg>, max_batch: usize, shipper: Shipper) {
     // one batch and one callback list live for the thread's lifetime:
     // commits drain them but keep their capacity, so a busy shard's
     // steady state builds every batch in recycled memory
     let mut batch = WriteBatch::new();
     let mut dones: Vec<WriteCallback> = Vec::new();
     let mut reqs: Vec<WriteReq> = Vec::new();
+    let dbs = std::slice::from_ref(&db);
     while let Ok(first) = rx.recv() {
         // a barrier with nothing queued before it acks immediately
         let mut pending_barrier: Option<Sender<()>> = None;
@@ -318,7 +396,7 @@ fn committer_loop(
                 continue;
             }
             Msg::Txn(t) => {
-                run_txn_commit(t, sync_each_batch, &metrics, &replicator, &tap);
+                run_txn_commit(t, &shipper);
                 continue;
             }
         }
@@ -333,72 +411,21 @@ fn committer_loop(
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
-        // the tap guard is held across fold + commit + sync + tee, so
-        // install_tap has a clean cut: batches fully before it are
-        // visible to a subsequent snapshot, batches after are tapped
-        let tap_guard = tap.lock().unwrap();
-        // when replicating, encode the ops region while folding: the
-        // shipped frame is built exactly once per batch, here
-        let mut ops = replicator.as_ref().map(|_| ReplOpsBuilder::new());
-        let mut tap_ops = tap_guard.as_ref().map(|_| ReplOpsBuilder::new());
         for r in reqs.drain(..) {
-            if let Some(b) = &mut ops {
-                match &r.op {
-                    WriteOp::Put { key, value } => b.put(key, value),
-                    WriteOp::Delete { key } => b.delete(key),
-                }
-            }
-            if let (Some(b), Some(t)) = (&mut tap_ops, tap_guard.as_ref()) {
-                if t.covers(r.op.key()) {
-                    match &r.op {
-                        WriteOp::Put { key, value } => b.put(key, value),
-                        WriteOp::Delete { key } => b.delete(key),
-                    }
-                }
-            }
             match r.op {
                 WriteOp::Put { key, value } => batch.put(key, value),
                 WriteOp::Delete { key } => batch.delete(key),
             }
             dones.push(r.done);
         }
-        metrics.batch_ops.record(dones.len() as u64);
-        metrics.batches.inc();
-        let mut result = db.write_batch_mut(&mut batch);
-        if result.is_ok() && sync_each_batch {
-            // the ack promises durability: pad the WAL tail once per
-            // batch, not once per operation — the group-commit win
-            result = db.sync();
-        }
-        if result.is_ok() {
-            // tee to the migration tap only what is committed and synced
-            // locally: the tap's receiver treats every region as durable
-            // on the donor
-            if let (Some(t), Some(ops)) = (tap_guard.as_ref(), tap_ops) {
-                if ops.count() > 0 {
-                    let _ = t.tx.send(ops.finish());
-                }
-            }
-        }
-        drop(tap_guard);
-        let outcome = match result {
-            Ok(()) => match (&replicator, ops) {
-                (Some(rep), Some(ops)) => {
-                    // publish only what committed locally: a batch that
-                    // failed here must never reach a replica, or a
-                    // failover could resurrect a write the client saw fail
-                    let t0 = metrics.now_ns();
-                    let seq = rep.publish(ops.finish());
-                    if rep.wait_quorum(seq) {
-                        metrics.repl_ack_ns.record(metrics.now_ns().saturating_sub(t0));
-                        WriteOutcome::Ok
-                    } else {
-                        metrics.repl_lag_timeouts.inc();
-                        WriteOutcome::ReplicaLag
-                    }
-                }
-                _ => WriteOutcome::Ok,
-            },
+        shipper.metrics.batch_ops.record(dones.len() as u64);
+        shipper.metrics.batches.inc();
+        let outcome = match shipper.commit_then_ship(dbs, |regions| {
+            regions.encode(&batch);
+            db.write_batch_mut(&mut batch)
+        }) {
+            Ok(((), true)) => WriteOutcome::Ok,
+            Ok(((), false)) => WriteOutcome::ReplicaLag,
             Err(e) => WriteOutcome::Err(e),
         };
         for done in dones.drain(..) {
@@ -408,89 +435,29 @@ fn committer_loop(
             let _ = ack.send(());
         }
         if let Some(t) = pending_txn {
-            run_txn_commit(t, sync_each_batch, &metrics, &replicator, &tap);
+            run_txn_commit(t, &shipper);
         }
     }
 }
 
-/// Executes one transaction commit inside the committer thread:
-/// validate-and-apply atomically, sync per the durability policy, then
-/// tee the write-set to the migration tap and publish it to the
-/// replicator — exactly the order a group-commit batch follows, under
-/// the same tap guard, so a migration or a replica observes txn writes
-/// in true commit order relative to plain writes on this shard.
-fn run_txn_commit(
-    req: TxnCommitReq,
-    sync_each_batch: bool,
-    metrics: &Arc<ServerMetrics>,
-    replicator: &Option<Arc<Replicator>>,
-    tap: &Arc<Mutex<Option<MigrationTap>>>,
-) {
+/// Executes one transaction commit inside the committer thread through
+/// the same commit-then-ship step as a group-commit batch, so a
+/// migration or a replica observes txn writes in true commit order
+/// relative to plain writes on this shard.
+fn run_txn_commit(req: TxnCommitReq, shipper: &Shipper) {
     let TxnCommitReq { parts, done } = req;
-    // capture the involved engines and the flattened write-set before
-    // commit_parts consumes the parts
     let dbs: Vec<Db> = parts.iter().map(|p| p.db().clone()).collect();
-    let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = parts
-        .iter()
-        .flat_map(|p| p.writes().iter().cloned())
-        .collect();
-    let tap_guard = tap.lock().unwrap();
-    let outcome = match lsm_core::commit_parts(parts) {
-        Ok(stamp) => {
-            let mut synced = Ok(());
-            if sync_each_batch {
-                for d in &dbs {
-                    if let Err(e) = d.sync() {
-                        synced = Err(e);
-                        break;
-                    }
-                }
-            }
-            match synced {
-                Ok(()) => {
-                    // tee only what is committed and synced locally, same
-                    // contract as the batch path
-                    if let Some(t) = tap_guard.as_ref() {
-                        let mut b = ReplOpsBuilder::new();
-                        for (k, v) in writes.iter().filter(|(k, _)| t.covers(k)) {
-                            match v {
-                                Some(v) => b.put(k, v),
-                                None => b.delete(k),
-                            }
-                        }
-                        if b.count() > 0 {
-                            let _ = t.tx.send(b.finish());
-                        }
-                    }
-                    match replicator {
-                        Some(rep) if !writes.is_empty() => {
-                            let mut b = ReplOpsBuilder::new();
-                            for (k, v) in &writes {
-                                match v {
-                                    Some(v) => b.put(k, v),
-                                    None => b.delete(k),
-                                }
-                            }
-                            let t0 = metrics.now_ns();
-                            let seq = rep.publish(b.finish());
-                            if rep.wait_quorum(seq) {
-                                metrics.repl_ack_ns.record(metrics.now_ns().saturating_sub(t0));
-                                TxnOutcome::Committed(stamp)
-                            } else {
-                                metrics.repl_lag_timeouts.inc();
-                                TxnOutcome::CommittedLag(stamp)
-                            }
-                        }
-                        _ => TxnOutcome::Committed(stamp),
-                    }
-                }
-                Err(e) => TxnOutcome::Err(e),
-            }
+    let outcome = match shipper.commit_then_ship(&dbs, |regions| {
+        for p in &parts {
+            regions.encode(p.batch());
         }
+        lsm_core::commit_parts(parts)
+    }) {
+        Ok((stamp, true)) => TxnOutcome::Committed(stamp),
+        Ok((stamp, false)) => TxnOutcome::CommittedLag(stamp),
         Err(lsm_core::TxnError::Conflict(c)) => TxnOutcome::Conflict(c),
         Err(lsm_core::TxnError::Storage(e)) => TxnOutcome::Err(e),
     };
-    drop(tap_guard);
     done(outcome);
 }
 
@@ -643,5 +610,56 @@ mod tests {
         let expect: Vec<Vec<u8>> =
             (50..70).map(|i| format!("bk{i:05}").into_bytes()).collect();
         assert_eq!(teed, expect, "tap must tee exactly [lo, hi) in commit order");
+    }
+
+    #[test]
+    fn txn_commits_tee_their_in_range_writes_in_commit_order() {
+        use crate::protocol::{repl_ops, ReplOpRef};
+        let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
+        let metrics = ServerMetrics::new();
+        let acks = Arc::new(AtomicUsize::new(0));
+        let errs = Arc::new(AtomicUsize::new(0));
+        let committer = GroupCommitter::start(db.clone(), 8, true, metrics, None);
+        let (tx, rx) = channel();
+        committer.install_tap(MigrationTap {
+            lo: b"bk00010".to_vec(),
+            hi: Some(b"bk00020".to_vec()),
+            tx,
+        });
+        committer.submit(put_req(12, &acks, &errs));
+        let mut txn = db.begin_txn().unwrap();
+        txn.put(b"bk00015".to_vec(), b"txn".to_vec());
+        txn.delete(b"bk00012".to_vec());
+        txn.put(b"bk00030".to_vec(), b"out-of-range".to_vec());
+        let (out_tx, out_rx) = channel();
+        assert!(committer.submit_txn(TxnCommitReq {
+            parts: vec![txn.into_part()],
+            done: Box::new(move |o| {
+                let _ = out_tx.send(matches!(o, TxnOutcome::Committed(stamp) if stamp > 0));
+            }),
+        }));
+        committer.submit(put_req(16, &acks, &errs));
+        assert!(committer.barrier());
+        assert!(out_rx.recv().unwrap(), "txn must commit");
+        committer.shutdown();
+        assert_eq!(acks.load(Ordering::SeqCst), 2);
+        let mut teed = Vec::new();
+        while let Ok(region) = rx.try_recv() {
+            for op in repl_ops(&region).unwrap() {
+                teed.push(match op.unwrap() {
+                    ReplOpRef::Put { key, value } => (key.to_vec(), Some(value.to_vec())),
+                    ReplOpRef::Delete { key } => (key.to_vec(), None),
+                });
+            }
+        }
+        let expect: Vec<(Vec<u8>, Option<Vec<u8>>)> = vec![
+            (b"bk00012".to_vec(), Some(b"bv12".to_vec())),
+            (b"bk00012".to_vec(), None),
+            (b"bk00015".to_vec(), Some(b"txn".to_vec())),
+            (b"bk00016".to_vec(), Some(b"bv16".to_vec())),
+        ];
+        assert_eq!(teed, expect, "tap must tee batch and txn writes in commit order");
+        assert_eq!(db.get(b"bk00030").unwrap(), Some(b"out-of-range".to_vec()));
+        assert_eq!(db.get(b"bk00012").unwrap(), None);
     }
 }

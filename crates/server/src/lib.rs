@@ -13,7 +13,7 @@
 //! - [`migrate`] — online shard split/merge: snapshot copy plus a
 //!   group-commit tap, with an atomic map flip under the topology lock;
 //! - [`batcher`] — per-shard group commit: concurrent writes coalesce
-//!   into one `Db::write_batch` (one WAL append, one sync) per batch;
+//!   into one `Db::write_batch_mut` (one WAL append, one sync) per batch;
 //! - [`server`] — the accept loop, per-connection reader/writer threads
 //!   with bounded in-flight pipelining, admission control wired to the
 //!   engine's L0 backpressure gauge, and graceful drain;

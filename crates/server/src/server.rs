@@ -47,7 +47,7 @@
 //! [`Response::Busy`] instead of queueing, so a wedged shard surfaces as
 //! fast typed pushback at the edge rather than a writer thread blocked
 //! deep inside the engine. Below the shed line, the engine's own
-//! slowdown band still applies inside `write_batch` — the server sheds
+//! slowdown band still applies inside `write_batch_mut` — the server sheds
 //! where the engine would stall, and delays where it would slow down.
 
 use std::collections::HashMap;
@@ -1320,10 +1320,7 @@ fn submit_write(
     // happen BEFORE the routing lock so a slow connection can never
     // stall a migration cut-over
     state.wait_until(inner.cfg.pipeline_depth.saturating_sub(1));
-    let key = match &op {
-        WriteOp::Put { key, .. } => key,
-        WriteOp::Delete { key } => key,
-    };
+    let key = op.key();
     // route + shed + submit under one read lock: the write lands in the
     // committer of the map version it was routed by, and the cut-over
     // barrier (which needs the write lock first) is guaranteed to drain

@@ -35,7 +35,7 @@ use lsm_server::harness::{reopen_shards, start_cluster, start_replicated_cluster
 use lsm_server::protocol::{ReplOpsBuilder, Request, Response};
 use lsm_server::{
     promote_replica, Client, PrimaryReplication, ReplicaState, ReplicationRole, ServerConfig,
-    ShardSet,
+    ShardSet, TxnCommitStatus,
 };
 
 /// Tiny deterministic xorshift; good enough to scatter ops.
@@ -132,6 +132,36 @@ fn quorum_acked_writes_read_identically_from_any_node() {
     for (i, r) in cluster.replicas.iter().enumerate() {
         let mut rc = r.client();
         assert_eq!(rc.scan(b"q", b"r", 10_000).unwrap(), expected, "replica {i} scan");
+    }
+    drop(c);
+    cluster.primary.server.take().unwrap().shutdown().unwrap();
+}
+
+/// A transaction commit ships through the same commit-then-ship step as
+/// a batch: once it is acked at full quorum, every replica serves its
+/// whole write-set.
+#[test]
+fn quorum_acked_txn_commits_read_identically_on_replicas() {
+    let mut cluster = start_replicated_cluster(1, 2, wal_cfg(), ServerConfig::default(), 2);
+    let mut c = cluster.primary.client();
+    c.put(b"t-base", b"v0").unwrap();
+    c.txn_begin().unwrap();
+    assert_eq!(c.txn_get(b"t-base").unwrap(), Some(b"v0".to_vec()));
+    c.txn_put(b"t-a", b"va").unwrap();
+    c.txn_put(b"t-b", b"vb").unwrap();
+    c.txn_delete(b"t-base").unwrap();
+    match c.txn_commit().unwrap() {
+        TxnCommitStatus::Committed(stamp) => assert!(stamp > 0),
+        other => panic!("txn must commit, got {other:?}"),
+    }
+    let expect = vec![
+        (b"t-a".to_vec(), b"va".to_vec()),
+        (b"t-b".to_vec(), b"vb".to_vec()),
+    ];
+    assert_eq!(c.scan(b"t-", b"t.", 100).unwrap(), expect, "primary");
+    for (i, r) in cluster.replicas.iter().enumerate() {
+        let mut rc = r.client();
+        assert_eq!(rc.scan(b"t-", b"t.", 100).unwrap(), expect, "replica {i}");
     }
     drop(c);
     cluster.primary.server.take().unwrap().shutdown().unwrap();

@@ -13,6 +13,10 @@ cargo test -q
 echo "==> LSM_BACKGROUND=threaded cargo test -q"
 LSM_BACKGROUND=threaded cargo test -q
 
+echo "==> cargo test --workspace -q: every crate's own tests (both background modes)"
+cargo test --workspace -q
+LSM_BACKGROUND=threaded cargo test --workspace -q
+
 echo "==> cargo test -q -p lsm-obs (both background modes)"
 cargo test -q -p lsm-obs
 LSM_BACKGROUND=threaded cargo test -q -p lsm-obs
@@ -73,4 +77,4 @@ cargo test --release --offline --manifest-path kvbench/Cargo.toml
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "OK: build, tests (both modes), obs + server suites, metrics artifacts, kvbench, clippy all clean"
+echo "OK: build, tests (both modes), workspace tests (both modes), obs + server suites, metrics artifacts, kvbench, clippy all clean"

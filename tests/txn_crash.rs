@@ -24,6 +24,7 @@
 
 use std::sync::Arc;
 
+use lsm_core::config::KvSeparation;
 use lsm_core::{Db, LsmConfig, TxnError};
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
 
@@ -43,11 +44,14 @@ fn sweep_seed() -> u64 {
 /// Engine config; the maintenance mode comes from `LSM_BACKGROUND` via
 /// `small_for_tests`, so one binary sweeps both modes. The 1 KiB buffer
 /// makes the scripted write volume cross memtable rotations, so crash
-/// ordinals land inside flush and manifest I/O, not just the WAL.
-fn node_cfg() -> LsmConfig {
+/// ordinals land inside flush and manifest I/O, not just the WAL. With
+/// `kv` on, values of 48 bytes or more go to the value log, so atomic
+/// groups carry value-log pointers.
+fn node_cfg(kv: bool) -> LsmConfig {
     LsmConfig {
         wal: true,
         buffer_bytes: 1 << 10,
+        kv_separation: kv.then_some(KvSeparation { min_value_bytes: 48 }),
         ..LsmConfig::small_for_tests()
     }
 }
@@ -165,34 +169,38 @@ fn verify(db: &Db, acked: usize, context: &str) {
     assert_eq!(scanned, expected_scan, "{context}: scan disagrees with point gets");
 }
 
-/// Fault-free run; its I/O count bounds the sweep range.
-fn clean_run_total(seed: u64) -> u64 {
+/// Fault-free run; its I/O count up to the handle's drop bounds the
+/// sweep range. Verification runs on a reopened handle, so its reads
+/// (value-log reads included) add no ordinals a crash could never reach.
+fn clean_run_total(seed: u64, kv: bool) -> u64 {
     let fault = fault_device(seed);
-    let db = Db::open(erased(&fault), node_cfg()).expect("clean open");
+    let db = Db::open(erased(&fault), node_cfg(kv)).expect("clean open");
     let acked = scripted_txns(&db);
     assert_eq!(acked, TXNS, "fault-free run must ack every commit");
     db.wait_background_idle();
-    verify(&db, acked, "fault-free");
     drop(db);
-    fault.ops_performed()
+    let total = fault.ops_performed();
+    let db = Db::open(erased(&fault), node_cfg(kv)).expect("clean reopen");
+    verify(&db, acked, "fault-free");
+    total
 }
 
 /// One case: crash at ordinal `at`, drop the handle while dead (process
 /// death), heal, reopen, verify. Returns whether the fault fired.
-fn crash_case(seed: u64, at: u64) -> bool {
+fn crash_case(seed: u64, at: u64, kv: bool) -> bool {
     let fault = fault_device(seed ^ at);
     fault.schedule(at, FaultKind::Crash);
     let mut acked = 0;
-    if let Ok(db) = Db::open(erased(&fault), node_cfg()) {
+    if let Ok(db) = Db::open(erased(&fault), node_cfg(kv)) {
         acked = scripted_txns(&db);
         db.wait_background_idle();
         drop(db);
     }
     let fired = fault.pending_faults().is_empty();
     fault.heal();
-    let db = Db::open(erased(&fault), node_cfg())
-        .unwrap_or_else(|e| panic!("reopen after crash at ordinal {at} failed: {e}"));
-    verify(&db, acked, &format!("crash at ordinal {at}"));
+    let db = Db::open(erased(&fault), node_cfg(kv))
+        .unwrap_or_else(|e| panic!("reopen after crash at ordinal {at} (kv={kv}) failed: {e}"));
+    verify(&db, acked, &format!("crash at ordinal {at} (kv={kv})"));
     // recovered engine keeps committing transactions
     let mut txn = db.begin_txn().expect("begin after recovery");
     txn.put(b"post-crash".to_vec(), b"alive".to_vec());
@@ -206,20 +214,23 @@ fn crash_at_every_io_point_during_txn_commits() {
     let seed = sweep_seed();
     let mode = lsm_core::BackgroundMode::from_env();
     eprintln!("txn crash sweep: LSM_SEED={seed} mode={}", mode.label());
-    let total = clean_run_total(seed);
-    assert!(total > 100, "workload too small to exercise recovery ({total} I/Os)");
-    let mut fired = 0u64;
-    for at in 0..total {
-        if crash_case(seed, at) {
-            fired += 1;
+    for kv in [false, true] {
+        let total = clean_run_total(seed, kv);
+        assert!(total > 100, "workload too small to exercise recovery ({total} I/Os)");
+        let mut fired = 0u64;
+        for at in 0..total {
+            if crash_case(seed, at, kv) {
+                fired += 1;
+            }
         }
+        eprintln!("txn sweep (kv={kv}): {fired}/{total} crash points fired (LSM_SEED={seed})");
+        // threaded worker timing can shift ordinals so a scheduled fault
+        // never fires; those cases degrade to clean roundtrips (still
+        // verified), but a mostly-vacuous sweep proves nothing
+        assert!(
+            fired * 2 >= total,
+            "only {fired}/{total} crash points fired (kv={kv}); sweep is mostly vacuous \
+             (LSM_SEED={seed})"
+        );
     }
-    eprintln!("txn sweep: {fired}/{total} crash points fired (LSM_SEED={seed})");
-    // threaded worker timing can shift ordinals so a scheduled fault
-    // never fires; those cases degrade to clean roundtrips (still
-    // verified), but a mostly-vacuous sweep proves nothing
-    assert!(
-        fired * 2 >= total,
-        "only {fired}/{total} crash points fired; sweep is mostly vacuous (LSM_SEED={seed})"
-    );
 }
